@@ -5,7 +5,7 @@ PY ?= python
 
 .PHONY: test test-fast native bench bench-smoke bench-record \
 	bench-compare bench-regression docs-check lint service-smoke \
-	staticcheck verify
+	staticcheck perfbench-check verify
 
 # Tier-1 verification: the full test suite.
 test:
@@ -83,7 +83,22 @@ service-smoke:
 staticcheck:
 	PYTHONPATH=src $(PY) -m repro.staticcheck
 
+# The cold benchmark's pinned seed-1 digests: each perfbench workload
+# runs once (three cold sweeps, no timing budget, no trace) and must
+# end with a JSON line reporting "correct": true.
+PERFBENCH_WORKLOADS = decay-sweep sparse-cold protocol-sweep paper-stack
+
+perfbench-check:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$($(PY) perfbench/run.py --workload $$w --seed 1 \
+			--seconds 0 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | head -n 2; \
+		echo "$$out" | tail -n 1 | $(PY) -c 'import json, sys; \
+			sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "perfbench-check: $$w is not correct"; exit 1; }; \
+	done
+
 # Everything the CI gate cares about: the verify matrix's three steps,
-# the staticcheck and lint jobs, the service smoke leg, and the
-# bench-regression job.
-verify: test staticcheck docs-check bench-smoke service-smoke lint bench-regression
+# the staticcheck and lint jobs, the service smoke leg, the
+# bench-regression job and the perfbench digest check.
+verify: test staticcheck docs-check bench-smoke service-smoke lint bench-regression perfbench-check

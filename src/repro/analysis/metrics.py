@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.geometry.points import PointSet
+from repro.geometry.points import PointSet, pairwise_distances
 from repro.sinr.graphs import (
     approx_connectivity_graph,
     graph_degree,
@@ -70,6 +70,7 @@ def compute_metrics(
     points: PointSet, params: SINRParameters
 ) -> NetworkMetrics:
     """Compute all bound parameters for a deployment."""
-    strong = strong_connectivity_graph(points, params)
-    approx = approx_connectivity_graph(points, params)
+    distances = pairwise_distances(points.coords)
+    strong = strong_connectivity_graph(points, params, distances=distances)
+    approx = approx_connectivity_graph(points, params, distances=distances)
     return metrics_from_graphs(len(points), strong, approx)

@@ -83,7 +83,7 @@ class DeploymentArtifacts:
         the per-slot SINR kernels take these instead of re-evaluating
         the power law every slot.
     graph / approx_graph:
-        G_{1-ε} and G_{1-2ε} = G̃.
+        G_{1-ε} and G_{1-2ε} = G̃, both built from ``distances``.
     metrics:
         The paper's parameters (n, Δ, D, Λ) for this deployment.
     """
@@ -162,8 +162,12 @@ class ArtifactCache:
         gains = gain_matrix(params, distances)
         distances.setflags(write=False)
         gains.setflags(write=False)
-        strong = strong_connectivity_graph(points, params)
-        approx = approx_connectivity_graph(points, params)
+        strong = strong_connectivity_graph(
+            points, params, distances=distances
+        )
+        approx = approx_connectivity_graph(
+            points, params, distances=distances
+        )
         built = DeploymentArtifacts(
             points=points,
             params=params,
@@ -203,6 +207,7 @@ class ArtifactCache:
         key = (points.coords.tobytes(), params)
         full = self._artifacts.get(key)
         if full is not None:
+            self._artifacts.move_to_end(key)
             self.hits += 1
             return full.distances, full.gains
         cached = self._geometry.get(key)

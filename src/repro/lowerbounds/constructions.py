@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 
 from repro.geometry.deployment import two_balls, two_parallel_lines
-from repro.geometry.points import PointSet
+from repro.geometry.points import PointSet, pairwise_distances
 from repro.sinr.channel import Channel
 from repro.sinr.graphs import (
     approx_connectivity_graph,
@@ -74,11 +74,12 @@ class ProgressLowerBoundNetwork:
         self.params = self.base_params.with_strong_range(
             0.5 * (self.line_distance + nearest_diagonal)
         )
+        distances = pairwise_distances(self.points.coords)
         self.graph: nx.Graph = strong_connectivity_graph(
-            self.points, self.params
+            self.points, self.params, distances=distances
         )
         self.approx_graph: nx.Graph = approx_connectivity_graph(
-            self.points, self.params
+            self.points, self.params, distances=distances
         )
 
     @property
@@ -218,11 +219,12 @@ class DecayLowerBoundNetwork:
             np.vstack([b1, dense]),
             name=f"thm81(delta={self.delta})",
         )
+        distances = pairwise_distances(self.points.coords)
         self.graph: nx.Graph = strong_connectivity_graph(
-            self.points, self.params
+            self.points, self.params, distances=distances
         )
         self.approx_graph: nx.Graph = approx_connectivity_graph(
-            self.points, self.params
+            self.points, self.params, distances=distances
         )
 
     @property

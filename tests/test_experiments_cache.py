@@ -121,6 +121,38 @@ class TestArtifactCache:
         assert cache.resolve(specs[0]) is not first
         assert cache.stats()["points_entries"] == 2
 
+    def test_geometry_from_artifact_entry_marks_it_recent(self, params):
+        # A mobility sweep reads its epoch-0 geometry from the artifact
+        # entry; that read must keep the entry from being evicted.
+        cache = ArtifactCache(maxsize=2)
+        a, b, c = (uniform_disk(6, radius=6.0, seed=s) for s in (1, 2, 3))
+        first = cache.artifacts(a, params)
+        cache.artifacts(b, params)
+        cache.geometry(a, params)
+        cache.artifacts(c, params)  # evicts b, the least recently used
+        misses = cache.stats()["misses"]
+        assert cache.artifacts(a, params) is first
+        assert cache.stats()["misses"] == misses
+        cache.artifacts(b, params)
+        assert cache.stats()["misses"] == misses + 1
+
+    def test_one_distance_matrix_per_artifact_build(
+        self, params, monkeypatch
+    ):
+        import repro.experiments.cache as cache_module
+        import repro.sinr.graphs as graphs_module
+
+        calls = []
+
+        def counted(coords):
+            calls.append(len(coords))
+            return pairwise_distances(coords)
+
+        monkeypatch.setattr(cache_module, "pairwise_distances", counted)
+        monkeypatch.setattr(graphs_module, "pairwise_distances", counted)
+        ArtifactCache().artifacts(uniform_disk(12, radius=8.0, seed=3), params)
+        assert calls == [12]
+
     def test_clear(self, params):
         cache = ArtifactCache()
         cache.artifacts(uniform_disk(5, radius=5.0, seed=1), params)
