@@ -1,22 +1,22 @@
-"""The experiment engine: batched sweep vs the legacy per-trial loop.
+"""The experiment engine: shared-cache sweeps vs the legacy per-trial loop.
 
 Every statistical claim in this reproduction (Table 1 rows, the decay /
 approximate-progress ablations) averages dozens of seeded trials.  The
 legacy harness ran them one at a time, re-deriving the deployment's
 distance matrix, gain matrix, connectivity graphs and metrics for every
-trial and re-evaluating log-derived protocol constants every slot.  The
-engine (:mod:`repro.experiments`) memoizes those artifacts once per
-deployment, fuses the per-slot SINR physics of all trials into one
-ragged tensor reduction, and can ship plan chunks to a process pool
+trial.  The engine (:mod:`repro.experiments`) memoizes those artifacts
+once per deployment, runs columnar-eligible plans as one batch on
+array-state kernels, and can ship plan chunks to a process pool
 (``workers=N``) — the designed route to multi-fold sweep speedups on
 multi-core hosts.
 
 This benchmark runs one Table-1-style multi-trial sweep (f_ack local
 broadcast, 8 seeds over one deployment) through the legacy per-trial
 loop (artifact cache cleared between trials — exactly what the
-pre-engine benchmarks paid), through the batched object engine, and
-through the columnar fast path (``vectorize=True`` — array-state
-kernels instead of per-node ``on_slot`` dispatch, see
+pre-engine benchmarks paid), through the engine's object path
+(``vectorize=False``: the same ``run_trial`` per plan, with one shared
+cache), and through the columnar fast path (``vectorize=True`` —
+array-state kernels instead of per-node ``on_slot`` dispatch, see
 :mod:`repro.vectorized` and ``bench_vectorized_stack.py`` for the
 at-scale numbers), asserts all results are **bit-identical**, and
 reports the wall-clock comparison.
@@ -73,14 +73,12 @@ def run_legacy(plans) -> tuple[list, float]:
     return results, time.perf_counter() - start
 
 
-def run_batched(plans) -> tuple[list, float]:
-    """The engine: shared artifacts + lockstep ragged-tensor physics
-    (object executor — the columnar fast path explicitly opted out)."""
+def run_object_path(plans) -> tuple[list, float]:
+    """The engine's object path: one run_trial per plan over one shared
+    artifact cache (the columnar fast path explicitly opted out)."""
     GLOBAL_CACHE.clear()
     start = time.perf_counter()
-    results = run_trials(
-        plans, ExecutionPolicy(mode="batched", vectorize=False)
-    )
+    results = run_trials(plans, ExecutionPolicy(vectorize=False))
     return results, time.perf_counter() - start
 
 
@@ -88,9 +86,7 @@ def run_vectorized(plans) -> tuple[list, float]:
     """The columnar fast path: array-state kernels over the lattice."""
     GLOBAL_CACHE.clear()
     start = time.perf_counter()
-    results = run_trials(
-        plans, ExecutionPolicy(mode="batched", vectorize=True)
-    )
+    results = run_trials(plans, ExecutionPolicy(vectorize=True))
     return results, time.perf_counter() - start
 
 
@@ -98,9 +94,7 @@ def run_pooled(plans, workers: int) -> tuple[list, float]:
     """The engine's process-pool mode (contiguous plan chunks)."""
     GLOBAL_CACHE.clear()
     start = time.perf_counter()
-    results = run_trials(
-        plans, ExecutionPolicy(mode="batched", workers=workers)
-    )
+    results = run_trials(plans, ExecutionPolicy(workers=workers))
     return results, time.perf_counter() - start
 
 
@@ -112,18 +106,18 @@ def test_engine_batching_speedup(benchmark, emit):
 
     def sweep_modes():
         legacy, legacy_time = run_legacy(plans)
-        batched, batched_time = run_batched(plans)
+        shared, shared_time = run_object_path(plans)
         vectorized, vectorized_time = run_vectorized(plans)
         pooled = pooled_time = None
         if pool_workers:
             pooled, pooled_time = run_pooled(plans, pool_workers)
         return (
-            legacy, legacy_time, batched, batched_time,
+            legacy, legacy_time, shared, shared_time,
             vectorized, vectorized_time, pooled, pooled_time,
         )
 
     (
-        legacy, legacy_time, batched, batched_time,
+        legacy, legacy_time, shared, shared_time,
         vectorized, vectorized_time, pooled, pooled_time,
     ) = benchmark.pedantic(sweep_modes, rounds=1, iterations=1)
 
@@ -135,10 +129,10 @@ def test_engine_batching_speedup(benchmark, emit):
             f"{1000 * legacy_time / TRIALS:.1f}",
         ],
         [
-            "engine batched",
+            "engine object path",
             TRIALS,
-            f"{batched_time:.3f}",
-            f"{1000 * batched_time / TRIALS:.1f}",
+            f"{shared_time:.3f}",
+            f"{1000 * shared_time / TRIALS:.1f}",
         ],
         [
             "engine vectorized",
@@ -156,13 +150,14 @@ def test_engine_batching_speedup(benchmark, emit):
                 f"{1000 * pooled_time / TRIALS:.1f}",
             ]
         )
-    speedup = legacy_time / batched_time
-    mean = sum(r.ack_mean_latency for r in batched) / len(batched)
+    speedup = legacy_time / shared_time
+    mean = sum(r.ack_mean_latency for r in shared) / len(shared)
     emit(
         "",
-        "=== Experiment engine: batched sweep vs legacy per-trial loop ===",
+        "=== Experiment engine: shared-cache sweep vs legacy per-trial loop ===",
         format_table(["mode", "trials", "wall-clock (s)", "per-trial (ms)"], rows),
-        f"host cores: {cores}; batched speedup {speedup:.2f}x "
+        f"host cores: {cores}; object-path speedup {speedup:.2f}x, "
+        f"columnar {legacy_time / vectorized_time:.2f}x "
         f"(n={N}, {TRIALS} seeds, mean f_ack {mean:.0f} slots)",
     )
     if pool_workers:
@@ -174,11 +169,11 @@ def test_engine_batching_speedup(benchmark, emit):
         )
 
     # The engine's defining contract: same seeds => bit-identical
-    # per-trial metrics, whatever the execution mode.
-    assert batched == legacy, "batched results diverged from sequential"
+    # per-trial metrics, whatever the executor.
+    assert shared == legacy, "object-path results diverged from sequential"
     assert vectorized == legacy, "vectorized results diverged from sequential"
     if pooled is not None:
         assert pooled == legacy, "pooled results diverged from sequential"
     # Wall-clock regression guard (loose: CI boxes are noisy; the
     # interesting numbers are the emitted ones above).
-    assert speedup > 0.7, f"batching regressed badly: {speedup:.2f}x"
+    assert speedup > 0.7, f"cache sharing regressed badly: {speedup:.2f}x"

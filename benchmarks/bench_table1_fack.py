@@ -10,10 +10,10 @@ mean/max ack latency is compared against the predicted shape.  We check
 that (a) latency grows with Δ, (b) growth is at most mildly super-linear
 (the Θ-shape), and (c) the completeness of acknowledgments stays high.
 
-Both sweeps run through the batched experiment engine
+Both sweeps run through the experiment engine
 (:func:`repro.experiments.run_trials`): the ε-sweep reuses one cached
-deployment across its four trials and resolves their slots in lockstep.
-Every plan here is a homogeneous Ack population under the
+deployment across its four trials and advances them as one columnar
+batch.  Every plan here is a homogeneous Ack population under the
 local-broadcast workload, so the engine auto-selects the columnar fast
 path (:mod:`repro.vectorized`) — ``test_table1_fack_rides_fast_path``
 pins that selection, and the engine's equivalence suite guarantees the
@@ -118,7 +118,7 @@ def test_table1_fack_rides_fast_path():
 def run_eps_sweep() -> list[dict]:
     """The other axis of Theorem 5.1: f_ack ~ log(Λ/ε_ack).
 
-    Four trials over one deployment — one cache entry, one lockstep
+    Four trials over one deployment — one cache entry, one columnar
     batch.
     """
     deployment = DeploymentSpec.of(

@@ -7,9 +7,9 @@ broadcast ([29], §2.1) is multiplicative: ``O((D + k)·(Δ·log n + log² n))``
 
 Experiment: BMMB over the combined stack on a fixed line network with
 growing k (the ``mmb`` workload of the experiment engine — all four
-trials share one deployment and one lockstep batch); the per-message
-marginal cost (slope in k) must stay roughly constant (additive k-term)
-rather than scale with D.
+trials share one cached deployment and run on the object path); the
+per-message marginal cost (slope in k) must stay roughly constant
+(additive k-term) rather than scale with D.
 
 A second sweep pushes k to 16 on a 20-hop line over the standalone
 Algorithm B.1 MAC (the protocols are MAC-agnostic): the FIFO pipeline's

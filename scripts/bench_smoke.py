@@ -58,8 +58,10 @@ def smoke_engine_batching(m):
     _shrink(m, TRIALS=2)
     plans = m.make_plans()
     legacy, _ = m.run_legacy(plans)
+    shared, _ = m.run_object_path(plans)
     vectorized, _ = m.run_vectorized(plans)
-    assert vectorized == legacy  # the engine contract, in miniature
+    # the engine contract, in miniature
+    assert shared == legacy and vectorized == legacy
     return len(vectorized)
 
 

@@ -23,7 +23,12 @@ Fails (exit 1) when:
   ``rule_id="..."`` literal) is not documented in
   ``docs/invariants.md``, or the invariants catalogue names a rule ID
   that is no longer registered — the invariant catalogue and the
-  analyzer must describe the same rule set.
+  analyzer must describe the same rule set;
+* the ``ExecutionPolicy`` dataclass fields (read via ``ast`` from
+  ``src/repro/experiments/policy.py``) and the ``| field | ...`` table
+  in ``docs/architecture.md`` disagree in either direction — a field
+  added or dropped without its row, or a row left for a field that is
+  gone, fails the gate.
 
 Run via ``make docs-check``.
 """
@@ -43,6 +48,9 @@ REQUIRED_DOCS = (
     "docs/invariants.md",
 )
 API_MODULE = "src/repro/api.py"
+POLICY_MODULE = "src/repro/experiments/policy.py"
+POLICY_CLASS = "ExecutionPolicy"
+POLICY_TABLE_HEADER = "| field | values | semantics |"
 
 _RULE_ID_LITERAL = re.compile(r'rule_id="([A-Z]\d{3})"')
 
@@ -77,6 +85,38 @@ def api_exports(path: Path) -> list[str]:
                     and isinstance(element.value, str)
                 ]
     return []
+
+
+def dataclass_fields(path: Path, class_name: str) -> list[str]:
+    """The annotated fields of one class, by static AST walk."""
+    if not path.is_file():
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return [
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+            ]
+    return []
+
+
+def table_rows(text: str, header: str) -> list[str]:
+    """First-column names (backticks stripped) of the markdown table
+    that starts at ``header``, or [] when there is no such table."""
+    lines = text.splitlines()
+    try:
+        start = lines.index(header)
+    except ValueError:
+        return []
+    names = []
+    for line in lines[start + 2 :]:  # skip the header and `| --- |`
+        if not line.startswith("|"):
+            break
+        names.append(line.split("|")[1].strip().strip("`"))
+    return names
 
 
 def main() -> int:
@@ -143,6 +183,30 @@ def main() -> int:
                 "docs/architecture.md"
             )
 
+    fields = dataclass_fields(REPO / POLICY_MODULE, POLICY_CLASS)
+    if not fields:
+        problems.append(
+            f"{POLICY_MODULE} has no parseable {POLICY_CLASS} fields"
+        )
+    rows = table_rows(architecture, POLICY_TABLE_HEADER)
+    if not rows:
+        problems.append(
+            f"docs/architecture.md has no {POLICY_CLASS} table "
+            f"(a {POLICY_TABLE_HEADER!r} header)"
+        )
+    for name in fields:
+        if name not in rows:
+            problems.append(
+                f"{POLICY_CLASS}.{name} has no row in the "
+                "docs/architecture.md policy table"
+            )
+    for name in rows:
+        if name not in fields:
+            problems.append(
+                f"docs/architecture.md policy table documents {name!r}, "
+                f"which is not an {POLICY_CLASS} field"
+            )
+
     invariants_path = REPO / "docs" / "invariants.md"
     invariants = (
         invariants_path.read_text(encoding="utf-8")
@@ -173,6 +237,7 @@ def main() -> int:
         f"docs-check: OK ({len(scripts)} benchmark scripts catalogued, "
         f"{len(packages)} packages documented, "
         f"{len(exports)} façade exports documented, "
+        f"{len(fields)} policy fields tabled, "
         f"{len(rule_ids)} reprolint rules catalogued, "
         f"{len(REQUIRED_DOCS)} documentation files present)"
     )

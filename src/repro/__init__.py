@@ -33,9 +33,10 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.protocols` — BSMB / BMMB / consensus over any MAC,
 * :mod:`repro.lowerbounds` — the Theorem 6.1 and 8.1 constructions,
 * :mod:`repro.analysis` — bound formulas, metrics, experiment harness,
-* :mod:`repro.experiments` — the batched multi-trial experiment engine
+* :mod:`repro.experiments` — the multi-trial experiment engine
   (declarative :class:`~repro.experiments.TrialPlan` sweeps over a keyed
-  artifact cache, lockstep SINR batching, process-pool execution).
+  artifact cache, columnar batches or one object run per plan,
+  process-pool execution).
 """
 
 from repro.geometry import (

@@ -9,11 +9,14 @@ Deployment-derived artifacts (distance/gain matrices, connectivity
 graphs, metrics) come from the keyed cache in
 :mod:`repro.experiments.cache`, so building several stacks over one
 deployment — a multi-trial sweep, or merely a builder that needs the
-metrics before assembling — derives them once.  For multi-trial
-experiments prefer the batched engine
-(:func:`repro.experiments.run_trials`), which drives these same
-builders; the single-trial path below is the thin wrapper it is
-verified bit-identical against.
+metrics before assembling — derives them once.  Every builder takes a
+keyword-only ``cache`` (default: the process-wide
+:data:`~repro.experiments.cache.GLOBAL_CACHE`), which the stack's
+:class:`~repro.sinr.channel.Channel` keeps for its sparse-grid and
+mobility-epoch lookups.  For multi-trial experiments prefer the engine
+(:func:`repro.experiments.run_trials`), whose object path drives these
+same builders with the engine's cache and whose columnar path is
+verified bit-identical against them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.core.spec import (
     measure_acknowledgments,
     measure_approximate_progress,
 )
-from repro.experiments.cache import deployment_artifacts
+from repro.experiments.cache import ArtifactCache, deployment_artifacts
 from repro.geometry.points import PointSet
 from repro.simulation.runtime import Runtime, RuntimeConfig
 from repro.sinr.channel import Channel, JammingAdversary
@@ -124,9 +127,10 @@ def _assemble(
     max_slots: int,
     adversary: JammingAdversary | None,
     record_physical: bool,
-    topology: TopologyProvider | None = None,
+    topology: TopologyProvider | None,
+    cache: ArtifactCache | None,
 ) -> StackBundle:
-    artifacts = deployment_artifacts(points, params)
+    artifacts = deployment_artifacts(points, params, cache)
     registry = MessageRegistry()
     n = len(points)
     clients = [
@@ -140,6 +144,7 @@ def _assemble(
         distances=artifacts.distances,
         gains=artifacts.gains,
         topology=topology,
+        cache=cache,
     )
     runtime = Runtime(
         channel,
@@ -176,13 +181,15 @@ def build_combined_stack(
     approg_config: ApproxProgressConfig | None = None,
     record_physical: bool = True,
     topology: TopologyProvider | None = None,
+    *,
+    cache: ArtifactCache | None = None,
 ) -> StackBundle:
     """The paper's full absMAC (Algorithm 11.1) over a deployment.
 
     Configs default to the paper formulas evaluated at the deployment's
     measured Λ (standing in for the "known polynomial bound on Λ").
     """
-    metrics = deployment_artifacts(points, params).metrics
+    metrics = deployment_artifacts(points, params, cache).metrics
     lam = max(metrics.lam, 2.0)
     if ack_config is None:
         ack_config = default_ack_config(lam, eps_ack)
@@ -197,7 +204,7 @@ def build_combined_stack(
 
     return _assemble(
         points, params, factory, client_factory, seed, max_slots,
-        adversary, record_physical, topology,
+        adversary, record_physical, topology, cache,
     )
 
 
@@ -212,9 +219,11 @@ def build_ack_stack(
     ack_config: AckConfig | None = None,
     record_physical: bool = True,
     topology: TopologyProvider | None = None,
+    *,
+    cache: ArtifactCache | None = None,
 ) -> StackBundle:
     """Algorithm B.1 alone (the Theorem 5.1 object of study)."""
-    metrics = deployment_artifacts(points, params).metrics
+    metrics = deployment_artifacts(points, params, cache).metrics
     lam = max(metrics.lam, 2.0)
     if ack_config is None:
         ack_config = default_ack_config(lam, eps_ack)
@@ -224,7 +233,7 @@ def build_ack_stack(
 
     return _assemble(
         points, params, factory, client_factory, seed, max_slots,
-        adversary, record_physical, topology,
+        adversary, record_physical, topology, cache,
     )
 
 
@@ -239,9 +248,11 @@ def build_approg_stack(
     approg_config: ApproxProgressConfig | None = None,
     record_physical: bool = True,
     topology: TopologyProvider | None = None,
+    *,
+    cache: ArtifactCache | None = None,
 ) -> StackBundle:
     """Algorithm 9.1 alone (the Theorem 9.1 object of study)."""
-    metrics = deployment_artifacts(points, params).metrics
+    metrics = deployment_artifacts(points, params, cache).metrics
     lam = max(metrics.lam, 2.0)
     if approg_config is None:
         approg_config = ApproxProgressConfig(
@@ -254,7 +265,7 @@ def build_approg_stack(
 
     return _assemble(
         points, params, factory, client_factory, seed, max_slots,
-        adversary, record_physical, topology,
+        adversary, record_physical, topology, cache,
     )
 
 
@@ -269,6 +280,8 @@ def build_decay_stack(
     decay_config: DecayConfig | None = None,
     record_physical: bool = True,
     topology: TopologyProvider | None = None,
+    *,
+    cache: ArtifactCache | None = None,
 ) -> StackBundle:
     """The Decay MAC baseline over the same deployment."""
     if decay_config is None:
@@ -279,7 +292,7 @@ def build_decay_stack(
 
     return _assemble(
         points, params, factory, client_factory, seed, max_slots,
-        adversary, record_physical, topology,
+        adversary, record_physical, topology, cache,
     )
 
 

@@ -94,8 +94,8 @@ def next_state(
 class DistributedMIS:
     """Standalone synchronous execution of the modified MIS algorithm.
 
-    Runs :func:`next_state` for every node in lockstep on an abstract
-    graph for a fixed ``round_budget``.  This is the model-level
+    Runs :func:`next_state` for every node in synchronous rounds on an
+    abstract graph for a fixed ``round_budget``.  This is the model-level
     counterpart of the slot-level execution inside Algorithm 9.1 and the
     object Lemma 10.1 reasons about.
     """

@@ -1,10 +1,11 @@
 """repro.experiments — the batched multi-trial experiment engine.
 
 Declarative :class:`TrialPlan`\\ s run through :func:`run_trials`, which
-memoizes deployment-derived artifacts in a keyed cache, fuses the
-per-slot SINR physics of same-shape trials into one ``(trials, n, n)``
-tensor reduction, and optionally distributes plan chunks over a process
-pool — all three modes bit-identical to the legacy sequential harness.
+memoizes deployment-derived artifacts in a keyed cache, runs
+columnar-eligible plans in batches on :mod:`repro.vectorized` and every
+other plan one at a time on the object runtime, and optionally
+distributes plan chunks over a process pool — all bit-identical to the
+single-trial harness path.
 
 Typical sweep::
 
@@ -40,7 +41,7 @@ from repro.experiments.plans import (
     TrialResult,
     seeded_plans,
 )
-from repro.experiments.policy import ExecutionPolicy, resolve_policy
+from repro.experiments.policy import ExecutionPolicy
 
 __all__ = [
     "ArtifactCache",
@@ -55,7 +56,6 @@ __all__ = [
     "TrialResult",
     "seeded_plans",
     "ExecutionPolicy",
-    "resolve_policy",
     "build_stack",
     "execute_plans",
     "run_trial",

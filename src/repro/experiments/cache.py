@@ -6,7 +6,7 @@ connectivity graphs G_{1-ε} / G_{1-2ε}, and the network metrics (Δ, D,
 Λ) that parameterize every bound.  A multi-trial sweep (dozens of seeds
 over one deployment) used to pay that cost per trial; the
 :class:`ArtifactCache` pays it once and shares the artifacts across
-trials, execution modes, and the sequential harness builders.
+trials, executors, and the harness builders.
 
 Cache keys
 ----------
@@ -200,7 +200,7 @@ class ArtifactCache:
         served from the full-artifact entry itself, and trials sharing
         one provider trajectory (the default: providers carry their own
         seed) share each epoch's matrices across the whole sweep, so
-        the batched executors' tensor stacks collapse to zero-stride
+        the columnar executor's tensor stacks collapse to zero-stride
         views again.
         """
         params = _dense_params(params)

@@ -1,24 +1,25 @@
-"""The batched multi-trial experiment engine.
+"""The multi-trial experiment engine.
 
-Three execution modes, one contract — a
+Two in-process executors and a process pool, one contract — a
 :class:`~repro.experiments.plans.TrialPlan` yields the *same*
 :class:`~repro.experiments.plans.TrialResult` (dataclass-equal, i.e.
 bit-identical metrics) whichever way it runs:
 
-``sequential``
-    One trial at a time through the legacy harness path
-    (:func:`run_trial` builds the stack with the harness builders and
-    drives ``Runtime.run_until`` exactly as the old benchmarks did).
+object path
+    One trial at a time: :func:`run_trial` builds the stack with the
+    harness builders and drives ``Runtime.run_until`` / ``Runtime.run``
+    over per-node automata.  Every plan runs here that the columnar
+    kernels cannot run (the combined Algorithm 11.1 MAC, approximate
+    progress alone, workloads without columnar hooks), and every plan
+    under ``ExecutionPolicy(vectorize=False)``.
 
-``batched``
-    Plans with equal node count and physical parameters advance in
-    lockstep: each slot, every live trial's transmitter set is
-    collected, the whole batch's SINR physics is resolved as one
-    ``(trials, n, n)`` tensor reduction
-    (:func:`~repro.sinr.physics.successful_receptions_batch`), and each
-    trial's outcome is delivered through its own channel (own adversary
-    RNG, own trace).  Per-trial protocol state machines are untouched —
-    only the physics hot loop is fused.
+columnar path
+    Eligible plans (:func:`~repro.vectorized.engine.vector_eligible`)
+    sharing node count, physical parameters, stack, workload and
+    tracing run as one batch on
+    :func:`~repro.vectorized.engine.run_vector_group` — numpy kernels
+    over the ``trials × n`` lattice, or the fused C slot loop of
+    :mod:`repro.native`.
 
 ``workers > 1``
     Plan shards are shipped to the scheduler's worker pool
@@ -30,15 +31,10 @@ bit-identical metrics) whichever way it runs:
     for deriving per-trial seeds from one master seed).
 
 All execution knobs travel as one frozen
-:class:`~repro.experiments.policy.ExecutionPolicy`; the legacy
-``run_trials(mode=, workers=, vectorize=, native=)`` kwargs keep
-working through a deprecation shim
-(:func:`~repro.experiments.policy.resolve_policy`).
-:func:`run_trials` itself is a thin client of the scheduler path:
-:func:`execute_plans` is the one in-process funnel through which all
-four executors (sequential / batched object / columnar / native) are
-reached, whether the caller is this module, a pool worker, or the job
-server.
+:class:`~repro.experiments.policy.ExecutionPolicy`.  :func:`run_trials`
+itself is a thin client of the scheduler path: :func:`execute_plans` is
+the one in-process funnel through which both executors are reached,
+whether the caller is this module, a pool worker, or the job server.
 
 Deployment-derived artifacts (distances, gains, graphs, metrics) come
 from the keyed cache in :mod:`repro.experiments.cache`, so a
@@ -47,10 +43,7 @@ many-seed sweep over one deployment derives them once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from repro.analysis.harness import (
     StackBundle,
@@ -66,9 +59,8 @@ from repro.experiments.cache import (
     resolve_deployment,
 )
 from repro.experiments.plans import TrialPlan, TrialResult
-from repro.experiments.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.experiments.policy import ExecutionPolicy
 from repro.experiments.workloads import Workload, get_workload
-from repro.sinr.physics import batch_tensor, successful_receptions_batch
 from repro.vectorized.engine import run_vector_group, vector_eligible
 
 __all__ = [
@@ -90,6 +82,7 @@ def build_stack(
         graph = deployment_artifacts(points, plan.params, cache).graph
         adversary = plan.adversary.build(graph, plan.seed)
     common = dict(
+        cache=cache,
         client_factory=workload.client_factory(plan),
         seed=plan.seed,
         max_slots=plan.max_slots,
@@ -173,11 +166,11 @@ def _result(
 def run_trial(
     plan: TrialPlan, cache: ArtifactCache | None = None
 ) -> TrialResult:
-    """Run one plan sequentially — the legacy single-trial path.
+    """Run one plan on the object path.
 
     Builds the stack with the harness builders and drives the runtime
     with ``run_until``/``run`` exactly as the pre-engine benchmarks did;
-    the batched executor is verified bit-identical against this.
+    the columnar executor is verified bit-identical against this.
     """
     stack = build_stack(plan, cache)
     workload = get_workload(plan.workload)
@@ -194,179 +187,6 @@ def run_trial(
     if plan.extra_slots:
         stack.runtime.run(plan.extra_slots)
     return _result(stack, plan, workload, completion)
-
-
-@dataclass
-class _TrialState:
-    """Bookkeeping for one trial inside a lockstep batch."""
-
-    index: int  # position in the caller's plan list
-    row: int  # position in the stacked distance/gain tensors
-    plan: TrialPlan
-    workload: Workload
-    stack: StackBundle
-    target: int | None  # fixed slot budget, or None for predicate polling
-    phase: str = "run"  # run -> extra -> done
-    steps: int = 0  # slots advanced since workload start
-    extra_left: int = 0
-    completion: int | None = None
-    result: TrialResult | None = field(default=None, repr=False)
-
-    def advance_phase(self) -> None:
-        """Run the phase transitions due at the top of a slot."""
-        if self.phase == "run":
-            finished = (
-                self.steps >= self.target
-                if self.target is not None
-                else (
-                    self.steps % self.workload.check_every == 0
-                    and self.workload.done(self.stack, self.plan)
-                )
-            )
-            if finished:
-                self.completion = self.stack.runtime.slot
-                self.extra_left = self.plan.extra_slots
-                self.phase = "extra"
-        if self.phase == "extra" and self.extra_left <= 0:
-            self.phase = "done"
-            self.result = _result(
-                self.stack, self.plan, self.workload, self.completion
-            )
-
-
-def _run_lockstep(
-    group: Sequence[tuple[int, TrialPlan]],
-    cache: ArtifactCache | None = None,
-) -> dict[int, TrialResult]:
-    """Advance one (n, params)-compatible group of trials in lockstep."""
-    states: list[_TrialState] = []
-    for row, (index, plan) in enumerate(group):
-        workload = get_workload(plan.workload)
-        stack = build_stack(plan, cache)
-        workload.start(stack, plan)
-        states.append(
-            _TrialState(
-                index=index,
-                row=row,
-                plan=plan,
-                workload=workload,
-                stack=stack,
-                target=workload.target_slots(stack, plan),
-            )
-        )
-    params = group[0][1].params
-    # Sparse resolution (params.sparse; shared across the group via the
-    # batch key) replaces the batched tensor reduction with per-trial
-    # grid resolution — no (trials, n, n) stack is ever built, which is
-    # the point: the O(n²) matrices are what sparse mode avoids.  The
-    # channel is the arbiter, not the spec: below the spec's ``min_n``
-    # crossover no resolver exists and the group stays on the batched
-    # dense reduction (BENCH_sparse.json shows sparse losing at n=1000).
-    sparse = states[0].stack.runtime.channel.sparse_active
-    if sparse:
-        dist_stack = gain_stack = None
-    else:
-        # One (trials, n, n) tensor each: a zero-stride view for the
-        # common shared-deployment sweep, a byte-budget-guarded stack
-        # for genuinely distinct deployments (see physics.batch_tensor).
-        dist_stack = batch_tensor(
-            [st.stack.runtime.channel.distances for st in states]
-        )
-        gain_stack = batch_tensor(
-            [st.stack.runtime.channel.gains for st in states]
-        )
-
-    # One group shares one SINRParameters (the batch key), so either
-    # every trial's channel carries an active stochastic model or none
-    # does; each stochastic trial folds its own multipliers/fading into
-    # its ragged block of the batched kernel's link_powers.
-    stochastic = states[0].stack.runtime.channel.stochastic
-    # Dynamic topology (mobility/churn) may differ per trial: each
-    # channel advances its own provider at the top of its slot, and the
-    # batch restacks its tensors whenever any trial's geometry moved.
-    dynamic = any(
-        st.stack.runtime.channel.dynamic_topology for st in states
-    )
-
-    results: dict[int, TrialResult] = {}
-    empty_tx: dict[int, Any] = {}
-    while True:
-        live = []
-        for st in states:
-            if st.phase != "done":
-                st.advance_phase()
-                if st.phase == "done":
-                    results[st.index] = st.result
-                    continue
-                live.append(st)
-        if not live:
-            return results
-        # Phase 1 everywhere, then one batched physics reduction, then
-        # phase 2 everywhere — per-trial adversaries, traces and
-        # counters all run in their own channel's finalize.
-        transmissions = [empty_tx] * len(states)
-        tx_ids = [np.empty(0, dtype=np.intp)] * len(states)
-        geometry_moved = False
-        for st in live:
-            st.stack.runtime._check_budget()
-            if dynamic:
-                # Epoch contract: topology changes land before this
-                # slot's transmit decisions, exactly as in Runtime.step.
-                geometry_moved |= st.stack.runtime.channel.advance_topology(
-                    st.stack.runtime.slot
-                )
-            tx = st.stack.runtime.collect_transmissions()
-            transmissions[st.row] = tx
-            tx_ids[st.row] = st.stack.runtime.channel.validated_transmitters(
-                tx
-            )
-        if geometry_moved and not sparse:
-            dist_stack = batch_tensor(
-                [st.stack.runtime.channel.distances for st in states]
-            )
-            gain_stack = batch_tensor(
-                [st.stack.runtime.channel.gains for st in states]
-            )
-        if sparse:
-            # Per-trial grid resolution in row order: each channel's
-            # resolve_raw consumes its own fading stream exactly like
-            # the dense block loop below, and empty rows resolve to {}.
-            raws = [
-                st.stack.runtime.channel.resolve_raw(tx_ids[st.row])
-                for st in states
-            ]
-        else:
-            link_powers = None
-            if stochastic:
-                blocks = [
-                    st.stack.runtime.channel.slot_link_powers(
-                        tx_ids[st.row]
-                    )
-                    for st in states
-                    if tx_ids[st.row].size
-                ]
-                if blocks:
-                    link_powers = np.concatenate(blocks)
-            raws = successful_receptions_batch(
-                params,
-                dist_stack,
-                tx_ids,
-                gains=gain_stack,
-                link_powers=link_powers,
-            )
-        for st in live:
-            outcome = st.stack.runtime.channel.finalize_slot(
-                transmissions[st.row], tx_ids[st.row], raws[st.row]
-            )
-            st.stack.runtime.deliver_outcome(outcome)
-            st.steps += 1
-            if st.phase == "extra":
-                st.extra_left -= 1
-
-
-def _batch_key(plan: TrialPlan, cache: ArtifactCache | None):
-    points = resolve_deployment(plan.deployment, cache)
-    return (len(points), plan.params)
 
 
 def validate_plans(
@@ -397,17 +217,21 @@ def execute_plans(
 ) -> list[TrialResult]:
     """Execute a plan list in-process under a policy — the one funnel.
 
-    Every entry point reaches the four executors through this function:
+    Every entry point reaches the executors through this function:
     :func:`run_trials` calls it directly for ``workers == 1``, the
     scheduler's pool workers call it for their shards, and the
     :mod:`repro.service` job server's workers call it for job shards.
     ``policy.workers`` is ignored here (sharding is the caller's job —
     see :func:`repro.service.scheduler.run_sharded`).
 
-    ``on_result`` is invoked as ``on_result(index, result)`` once per
-    plan, in plan-index order within each lockstep group, as groups
-    complete — the streaming hook the service's per-trial progress
-    rides.  Results are also returned as a list in plan order.
+    Columnar-eligible plans group into batches for
+    :func:`~repro.vectorized.engine.run_vector_group`; every other plan
+    runs alone through :func:`run_trial`, with the same cache.  Units
+    run in the order of their first plan.  ``on_result`` is invoked as
+    ``on_result(index, result)`` exactly once per plan, in plan-index
+    order within each batch, as units complete — the streaming hook the
+    service's per-trial progress rides.  Results are also returned as a
+    list in plan order.
     """
     plan_list = list(plans)
     validate_plans(plan_list, policy)
@@ -417,42 +241,33 @@ def execute_plans(
         # A private cold cache for this execution only: nothing read
         # from, nothing published to, the shared process-wide cache.
         cache = ArtifactCache()
-    if policy.mode == "sequential":
-        out = []
-        for index, plan in enumerate(plan_list):
-            result = run_trial(plan, cache)
-            out.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return out
-
-    groups: dict[Any, list[tuple[int, TrialPlan]]] = {}
+    units: dict[object, list[tuple[int, TrialPlan]]] = {}
     for index, plan in enumerate(plan_list):
-        # The columnar executor needs one MAC kernel and one client
-        # population per batch, so eligible plans additionally group by
-        # stack kind and workload; ineligible plans keep the pure
-        # (n, params) key and run on the object executor.
-        key = _batch_key(plan, cache)
+        # One columnar batch needs one node count, one MAC kernel and
+        # one client population; an object-path plan is a unit alone.
+        key: object = index
         if policy.vectorize is not False and vector_eligible(plan):
+            points = resolve_deployment(plan.deployment, cache)
             key = (
-                *key,
-                "vector",
+                len(points),
+                plan.params,
                 plan.stack,
                 plan.workload,
                 plan.record_physical,
             )
-        groups.setdefault(key, []).append((index, plan))
+        units.setdefault(key, []).append((index, plan))
     out: list[TrialResult | None] = [None] * len(plan_list)
-    for key, group in groups.items():
-        if "vector" in key:
+    for key, group in units.items():
+        if isinstance(key, int):
+            ((index, plan),) = group
+            results = {index: run_trial(plan, cache)}
+        else:
             results = run_vector_group(
                 group,
                 cache,
                 native=policy.native,
                 native_threads=policy.native_threads,
             )
-        else:
-            results = _run_lockstep(group, cache)
         for index in sorted(results):
             out[index] = results[index]
             if on_result is not None:
@@ -465,20 +280,16 @@ def run_trials(
     policy: ExecutionPolicy | None = None,
     *,
     cache: ArtifactCache | None = None,
-    mode: object = UNSET,
-    workers: object = UNSET,
-    vectorize: object = UNSET,
-    native: object = UNSET,
 ) -> list[TrialResult]:
     """Run many plans; results come back in plan order.
 
     ``policy`` (an :class:`~repro.experiments.policy.ExecutionPolicy`)
-    says *how*: execution mode, process-level sharding, columnar
-    fast-path and native-backend selection, artifact-cache sharing.
-    ``None`` is the default policy (batched, one process, auto-selected
-    fast paths).  A policy never changes results — all four executors
-    are bit-identical by contract, so equal plans yield dataclass-equal
-    results under every policy.
+    says *how*: process-level sharding, columnar fast-path and native
+    backend selection, artifact-cache sharing.  ``None`` is the default
+    policy (one process, auto-selected fast paths, shared cache).  A
+    policy never changes results — all executors are bit-identical by
+    contract, so equal plans yield dataclass-equal results under every
+    policy.
 
     ``run_trials`` is a thin client of the scheduler path: a
     single-worker policy executes in-process through
@@ -487,16 +298,11 @@ def run_trials(
     machinery the :mod:`repro.service` job server runs
     (:func:`repro.service.scheduler.run_sharded`), so both entry
     points reach the executors identically.
-
-    The legacy ``mode=`` / ``workers=`` / ``vectorize=`` / ``native=``
-    keyword arguments keep working through a deprecation shim that
-    warns once per process and builds the equivalent policy; see
-    :class:`~repro.experiments.policy.ExecutionPolicy` for each field's
-    semantics.
     """
-    policy = resolve_policy(
-        policy, mode=mode, workers=workers, vectorize=vectorize, native=native
-    )
+    if policy is None:
+        policy = ExecutionPolicy()
+    elif not isinstance(policy, ExecutionPolicy):
+        raise TypeError(f"policy must be an ExecutionPolicy; got {policy!r}")
     plan_list = list(plans)
     validate_plans(plan_list, policy)
     if not plan_list:

@@ -9,14 +9,14 @@ superpowers possible:
   deployment-derived artifact (distance/gain matrices, connectivity
   graphs, metrics) through the keyed cache in
   :mod:`repro.experiments.cache`;
-* **batching** — plans with the same node count and physical parameters
-  run in lockstep, their per-slot SINR physics resolved as one
-  ``(trials, n, n)`` tensor reduction;
+* **batching** — columnar-eligible plans with the same node count,
+  physical parameters, stack and workload run as one batch on the
+  array kernels of :mod:`repro.vectorized`;
 * **distribution** — plans pickle cleanly, so independent batches can be
   shipped to a process pool with bit-reproducible results.
 
 A :class:`TrialResult` is the frozen record of one finished trial; equal
-seeds must yield equal results whatever execution mode produced them,
+seeds must yield equal results whatever executor produced them,
 and the dataclass equality of :class:`TrialResult` is exactly that
 bit-identity check.
 """
@@ -203,19 +203,19 @@ class TrialPlan:
         the trial is finished.
     seed:
         Master seed for all node randomness — the *only* source of
-        nondeterminism, so equal plans yield equal results in any
-        execution mode.  This includes the stochastic channel (below):
+        nondeterminism, so equal plans yield equal results on any
+        executor.  This includes the stochastic channel (below):
         fading draws derive from the same master seed through a
         dedicated channel stream.
     params:
-        The physical constants (:class:`SINRParameters`).  Plans batch
-        by ``(node count, params)``, so attaching a stochastic
+        The physical constants (:class:`SINRParameters`).  Columnar
+        batches are keyed by them, so attaching a stochastic
         :class:`~repro.sinr.params.ChannelModel` — Rayleigh fading,
         log-normal shadowing, heterogeneous transmit power — groups
-        fading trials into their own lockstep batches automatically
-        (and keeps them off deterministic ones); columnar-eligible
-        stacks ride the fast path with the model active, bit-identical
-        to the object runtime.
+        fading trials into their own batches automatically (and keeps
+        them off deterministic ones); columnar-eligible stacks ride the
+        fast path with the model active, bit-identical to the object
+        runtime.
     broadcasters:
         Which nodes inject broadcasts (None = all), for workloads that
         read it.
@@ -330,8 +330,8 @@ class TrialResult:
     """The frozen record of one finished trial.
 
     Dataclass equality is the engine's bit-identity contract: a plan run
-    sequentially, in a lockstep batch, or on a pool worker must produce
-    an ``==`` result.  All fields are plain hashable values so results
+    on the object path, in a columnar batch, or on a pool worker must
+    produce an ``==`` result.  All fields are plain hashable values so results
     pickle cleanly and compare exactly.
 
     ``extra`` holds workload-specific metrics (e.g. ``completion`` for

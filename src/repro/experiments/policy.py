@@ -1,12 +1,8 @@
 """Execution policy: *how* a plan sweep runs, as one frozen value.
 
-:func:`~repro.experiments.engine.run_trials` grew its execution knobs
-one PR at a time — ``mode`` (PR 1), ``workers`` (PR 1), ``vectorize``
-(PR 2), ``native`` (PR 7) — and every new entry point (benchmarks,
-examples, now the :mod:`repro.service` job server) had to thread the
-whole sprawl through again.  :class:`ExecutionPolicy` collapses them
-into a single frozen, hashable, picklable dataclass with exactly the
-same semantics, so
+:class:`ExecutionPolicy` holds every execution knob of
+:func:`~repro.experiments.engine.run_trials` in a single frozen,
+hashable, picklable dataclass, so
 
 * the in-process call (``run_trials(plans, policy)``), the pool-worker
   entry point, and the service wire format all carry *one* object —
@@ -16,32 +12,13 @@ same semantics, so
   JSON wire codec, :mod:`repro.service.wire`);
 * a policy never changes results — every field selects an executor or
   a resource bound, and all executors are bit-identical by contract.
-
-The legacy keyword arguments keep working through a deprecation shim
-(:func:`resolve_policy`): ``run_trials(plans, mode=..., workers=...,
-vectorize=..., native=...)`` warns once per process and builds the
-equivalent policy, pinned dataclass-equal by
-``tests/test_execution_policy.py``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
-__all__ = ["ExecutionPolicy", "resolve_policy", "UNSET"]
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return "<unset>"
-
-
-UNSET = _Unset()
-
-_MODES = ("batched", "sequential")
+__all__ = ["ExecutionPolicy"]
 
 
 @dataclass(frozen=True)
@@ -50,20 +27,18 @@ class ExecutionPolicy:
 
     Attributes
     ----------
-    mode:
-        ``"batched"`` (default: lockstep groups keyed by ``(node count,
-        SINRParameters)``) or ``"sequential"`` (the legacy one-at-a-time
-        path).
     workers:
         Process-level parallelism.  ``1`` runs in-process; ``> 1``
         shards the plan list into contiguous trial batches over the
         scheduler's worker pool (:mod:`repro.service.scheduler` — the
         same path the job server uses).
     vectorize:
-        Columnar fast-path selection (:mod:`repro.vectorized`) inside
-        batched mode: ``None`` auto-selects it for eligible plans,
-        ``False`` pins the object lockstep executor, ``True`` demands
-        the columnar executor and raises when a plan is ineligible.
+        Columnar fast-path selection (:mod:`repro.vectorized`):
+        ``None`` auto-selects it for eligible plans, ``False`` runs
+        every plan on the object path (one
+        :func:`~repro.experiments.engine.run_trial` at a time),
+        ``True`` demands the columnar executor and raises when a
+        plan is ineligible.
     native:
         Backend selection *inside* the columnar executor
         (:mod:`repro.native`): ``None`` defers to ``REPRO_NATIVE`` and
@@ -86,13 +61,12 @@ class ExecutionPolicy:
         cold-cache benchmarking and memory isolation for huge one-off
         deployments.
 
-    None of these fields ever changes results: all four executors
-    (sequential / batched object / columnar / native) are bit-identical
-    by contract, so a policy is pure *execution* configuration and two
-    runs of equal plans under different policies compare dataclass-equal.
+    None of these fields ever changes results: the executors (object /
+    columnar numpy / native) are bit-identical by contract, so a policy
+    is pure *execution* configuration and two runs of equal plans under
+    different policies compare dataclass-equal.
     """
 
-    mode: str = "batched"
     workers: int = 1
     vectorize: bool | None = None
     native: bool | None = None
@@ -100,20 +74,10 @@ class ExecutionPolicy:
     share_cache: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; expected one of {_MODES}"
-            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.native_threads is not None and self.native_threads < 1:
             raise ValueError("native_threads must be >= 1")
-        if self.vectorize is True and self.mode == "sequential":
-            raise ValueError(
-                "vectorize=True demands the columnar executor, which "
-                "only batched mode runs; drop vectorize or use "
-                'mode="batched"'
-            )
 
     def for_worker(self) -> "ExecutionPolicy":
         """The policy a single pool worker runs its shard under.
@@ -124,88 +88,3 @@ class ExecutionPolicy:
         if self.workers == 1:
             return self
         return replace(self, workers=1)
-
-    def describe(self) -> str:
-        """Compact one-line summary for logs and experiment reports."""
-        parts = [self.mode]
-        if self.workers != 1:
-            parts.append(f"workers={self.workers}")
-        if self.vectorize is not None:
-            parts.append(f"vectorize={self.vectorize}")
-        if self.native is not None:
-            parts.append(f"native={self.native}")
-        if self.native_threads is not None:
-            parts.append(f"native-threads={self.native_threads}")
-        if not self.share_cache:
-            parts.append("private-cache")
-        return "+".join(parts)
-
-
-_LEGACY_WARNED = False
-
-
-def _warn_legacy(names: list[str]) -> None:
-    """Warn about legacy execution kwargs, once per process.
-
-    One warning is enough to flag a codebase for migration; per-call
-    warnings would swamp sweep scripts that call ``run_trials`` in a
-    loop.  Tests reset the latch via
-    ``monkeypatch.setattr(policy_module, "_LEGACY_WARNED", False)``.
-    """
-    global _LEGACY_WARNED
-    if _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED = True
-    warnings.warn(
-        f"run_trials({', '.join(f'{n}=' for n in names)}...) is "
-        "deprecated; pass an ExecutionPolicy instead: "
-        "run_trials(plans, ExecutionPolicy("
-        + ", ".join(f"{n}=..." for n in names)
-        + "))",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_policy(
-    policy: ExecutionPolicy | None,
-    *,
-    mode: object = UNSET,
-    workers: object = UNSET,
-    vectorize: object = UNSET,
-    native: object = UNSET,
-) -> ExecutionPolicy:
-    """Fold the legacy kwarg sprawl and the new ``policy=`` argument
-    into one :class:`ExecutionPolicy`.
-
-    Exactly one spelling may be used per call: passing any legacy kwarg
-    *and* a policy raises ``TypeError`` (silently preferring one would
-    mask bugs in half-migrated call sites).  Legacy kwargs emit one
-    process-wide ``DeprecationWarning`` and build the equivalent
-    policy, so both spellings funnel into the same execution path.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("mode", mode),
-            ("workers", workers),
-            ("vectorize", vectorize),
-            ("native", native),
-        )
-        if not isinstance(value, _Unset)
-    }
-    if legacy:
-        if policy is not None:
-            raise TypeError(
-                "pass either policy= or the legacy execution kwargs "
-                f"({', '.join(sorted(legacy))}), not both"
-            )
-        _warn_legacy(sorted(legacy))
-        return ExecutionPolicy(**legacy)
-    if policy is None:
-        return ExecutionPolicy()
-    if not isinstance(policy, ExecutionPolicy):
-        raise TypeError(
-            f"policy must be an ExecutionPolicy; got {policy!r}"
-        )
-    return policy

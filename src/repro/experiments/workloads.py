@@ -3,16 +3,17 @@
 A :class:`Workload` is the engine-schedulable form of an experiment
 script.  The legacy harness drove each experiment imperatively
 (``bcast(...)`` then ``runtime.run_until(pred)``); a workload factors
-that same script into hooks the engine can drive one slot at a time, so
-many trials can advance in lockstep while each keeps its own stopping
-rule:
+that same script into hooks the engine can drive, so the object path
+(:func:`~repro.experiments.engine.run_trial`) and the columnar batches
+(through the ``vector_*`` twins) run the same experiment while each
+trial keeps its own stopping rule:
 
 * :meth:`client_factory` — optional per-node MAC clients (protocol
   state machines such as BSMB relays);
 * :meth:`start` — inject the initial broadcasts / wakeups;
 * :meth:`done` — the finish predicate, evaluated every ``check_every``
   slots *exactly like the legacy ``run_until`` cadence*, so completion
-  slots match the sequential harness bit-for-bit;
+  slots match the single-trial harness bit-for-bit;
 * :meth:`target_slots` — alternatively, a fixed slot budget (epoch
   sweeps), in which case :meth:`done` is never consulted;
 * :meth:`finalize` — workload-specific metrics for the

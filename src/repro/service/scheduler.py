@@ -4,8 +4,8 @@ This is the one parallel-execution path in the repository.  The job
 server runs on it, and so does plain
 ``run_trials(plans, ExecutionPolicy(workers=N))`` — the library call is
 a thin client (:func:`run_sharded`) of the very same scheduler, so the
-four executors (sequential / batched object / columnar / native) are
-reached identically from both entry points and the old ad-hoc
+executors (object / columnar numpy / native) are reached identically
+from both entry points and the old ad-hoc
 ``ProcessPoolExecutor`` chunking in the engine is gone.
 
 Sharding

@@ -2,7 +2,7 @@
 
 A worker is a plain loop over its task queue: take a shard, run its
 plans through :func:`repro.experiments.engine.execute_plans` under
-``shard.policy.for_worker()`` (same four executors as everywhere else,
+``shard.policy.for_worker()`` (same executors as everywhere else,
 ``workers`` flattened to 1 so a worker never recurses into a pool), and
 stream every finished trial straight onto the shared result queue — the
 scheduler's drain thread re-orders across shards, a worker only

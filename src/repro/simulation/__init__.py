@@ -1,6 +1,6 @@
 """Slot-synchronous distributed-protocol simulator.
 
-Nodes are event-driven automata (paper §4.4) advanced in lockstep slots;
+Nodes are event-driven automata (paper §4.4) advanced in synchronous slots;
 the channel resolves concurrent transmissions with the SINR rule.
 Conditional (non-spontaneous) wakeup per Definition 4.4 is built in: a
 sleeping node participates only as a listener and is woken by its first

@@ -1,7 +1,7 @@
 """The slot-synchronous runtime.
 
 Advances a population of :class:`~repro.simulation.node.ProtocolNode`
-automata in lockstep over a :class:`~repro.sinr.channel.Channel`:
+automata slot by slot over a :class:`~repro.sinr.channel.Channel`:
 
 1. each awake node chooses transmit/listen for the slot,
 2. the channel resolves the slot with the SINR rule,
@@ -47,7 +47,7 @@ class RuntimeConfig:
 
 
 class Runtime:
-    """Lockstep executor binding nodes to a channel."""
+    """Slot-synchronous executor binding nodes to a channel."""
 
     def __init__(
         self,
@@ -93,10 +93,8 @@ class Runtime:
         """Phase 1 of a slot: every awake node decides transmit/listen.
 
         Records transmit trace events; does not advance the slot counter.
-        Split from :meth:`step` so the batched experiment engine can
-        gather many trials' transmitter sets, resolve all their SINR
-        physics in one reduction, and then deliver each trial's outcome
-        with :meth:`deliver_outcome`.
+        :meth:`step` resolves the result on the channel and hands the
+        outcome to :meth:`deliver_outcome`.
         """
         transmissions: dict[int, Any] = {}
         alive = self.channel.alive

@@ -14,7 +14,7 @@ changing the protocol code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from repro.sinr.physics import (
     successful_receptions,
 )
 from repro.topology import TopologyProvider
+
+if TYPE_CHECKING:  # the cache module imports this package
+    from repro.experiments.cache import ArtifactCache
 
 __all__ = ["Channel", "JammingAdversary", "GrayZoneAdversary", "SlotOutcome"]
 
@@ -148,9 +151,12 @@ class Channel:
     Precomputes the pairwise-distance matrix and the uniform-power gain
     matrix ``P / d^α`` once; each slot resolution is then a single
     vectorized SINR reduction with no power evaluation on the hot path.
-    The experiment engine passes both matrices in from its shared
-    artifact cache so they are computed once per deployment rather than
-    once per trial.
+    The experiment engine passes both matrices in from its artifact
+    cache so they are computed once per deployment rather than once per
+    trial, and passes the cache itself as ``cache``: the channel's own
+    later lookups (the sparse resolver, mobility-epoch geometry) read
+    and fill that cache — ``None`` means the process-wide
+    :data:`~repro.experiments.cache.GLOBAL_CACHE`.
 
     When ``params.channel_model`` is active (fading / shadowing /
     heterogeneous power, see :class:`~repro.sinr.params.ChannelModel`),
@@ -161,8 +167,8 @@ class Channel:
     per-link fading buffer.  Runtimes arm it via
     :meth:`bind_trial_seed`; slot resolution then flows through
     :meth:`slot_link_powers` on every executor, which is what keeps
-    stochastic trials decode-for-decode identical across the object,
-    lockstep-batched and columnar paths.
+    stochastic trials decode-for-decode identical across the object and
+    columnar paths.
     """
 
     def __init__(
@@ -173,10 +179,12 @@ class Channel:
         distances: np.ndarray | None = None,
         gains: np.ndarray | None = None,
         topology: TopologyProvider | None = None,
+        cache: ArtifactCache | None = None,
     ) -> None:
         self.points = points
         self.params = params
         self.adversary = adversary
+        self.cache = cache
         self.sparse_spec = params.sparse
         # Under a sparse resolution spec the dense matrices become lazy:
         # the resolver carries its own grid artifacts, and forcing two
@@ -228,7 +236,7 @@ class Channel:
         # module's sibling params via the experiments package).
         from repro.experiments.cache import sparse_resolver
 
-        return sparse_resolver(points, self.params)
+        return sparse_resolver(points, self.params, self.cache)
 
     @property
     def distances(self) -> np.ndarray:
@@ -258,7 +266,7 @@ class Channel:
 
         False for deployments below the spec's ``min_n`` crossover even
         when a spec is present — those resolve through the dense
-        kernels, and every consumer (lockstep batching, the columnar
+        kernels, and every consumer (:meth:`resolve_raw`, the columnar
         runtime's per-trial sparse loop) keys off *this* rather than
         the spec so the small-n fallback is a single decision.
         """
@@ -325,8 +333,8 @@ class Channel:
         slot's transmissions — so a node crashed at slot ``s`` is
         silent in ``s``, and positions moved at an epoch boundary shape
         that very slot's SINR.  Returns True when the *geometry*
-        changed (gains were re-derived), which tells the batched
-        executors to restack their ``(trials, n, n)`` tensors;
+        changed (gains were re-derived), which tells the columnar
+        executor to restack its ``(trials, n, n)`` tensors;
         membership-only changes return False (the ``alive`` mask is
         read fresh each slot by every consumer).
 
@@ -369,7 +377,7 @@ class Channel:
             from repro.experiments.cache import geometry_artifacts
 
             self.distances, self.gains = geometry_artifacts(
-                update.points, self.params
+                update.points, self.params, self.cache
             )
         if self.model is not None:
             self.effective_gains = effective_gain_matrix(
@@ -415,8 +423,9 @@ class Channel:
 
     def validated_transmitters(self, transmissions: dict[int, Any]) -> np.ndarray:
         """Sorted transmitter-index array, validating node ids."""
+        n = self.n
         for node in transmissions:
-            if not 0 <= node < self.n:
+            if not 0 <= node < n:
                 raise ValueError(f"unknown node id {node}")
         return np.array(sorted(transmissions), dtype=np.intp)
 
@@ -484,11 +493,11 @@ class Channel:
         """Turn a raw ``listener -> sender`` map into this slot's outcome.
 
         ``raw`` is the physics-layer result for ``tx_ids`` (as produced
-        by :func:`~repro.sinr.physics.successful_receptions` or one entry
-        of the batched kernel).  Applies payload attachment, adversarial
+        by :meth:`resolve_raw`, or rebuilt from the batched kernel's
+        flat decodes).  Applies payload attachment, adversarial
         filtering, and the utilization counters — the per-trial half of
-        :meth:`resolve_slot`, split out so the batched experiment engine
-        can resolve many trials' physics in one reduction and still give
+        :meth:`resolve_slot`, split out so the columnar runtime can
+        resolve many trials' physics in one reduction and still give
         each trial its own adversary RNG stream and statistics.
         """
         receptions = {

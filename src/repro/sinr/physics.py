@@ -10,21 +10,22 @@ reception outcome of a slot is a partial function listener → transmitter.
 
 All functions take a precomputed pairwise-distance matrix so the per-slot
 cost is one masked matrix reduction (numpy), keeping thousand-node
-simulations fast.  Two further fast paths serve the batched experiment
-engine (:mod:`repro.experiments`):
+simulations fast.  Two further fast paths serve the experiment engine
+(:mod:`repro.experiments`):
 
 * the received-power (gain) matrix ``P / d^α`` can be computed once per
   deployment with :func:`gain_matrix` and passed back in through the
   ``gains`` parameter, removing the per-slot ``d**α`` power evaluation;
 * :func:`successful_receptions_batch` resolves one slot of *many
-  independent trials at once*, taking the per-trial ``(n, n)`` distance
-  matrices stacked into a ``(trials, n, n)`` tensor and reducing the
-  whole batch with a handful of numpy operations.
+  independent trials at once* for the columnar runtime
+  (:mod:`repro.vectorized`), taking the per-trial ``(n, n)`` matrices
+  as a ``(trials, n, n)`` tensor (:func:`batch_tensor`) and reducing
+  the whole batch with a handful of numpy operations.
 
-The batched kernel is engineered to be *bit-identical* to the sequential
-one: per-trial interference totals are reduced over exactly the same
-addends in the same order as :func:`sinr_matrix`, so a batched experiment
-reproduces a sequential run decode-for-decode.
+The batched kernel is engineered to be *bit-identical* to the
+single-trial one: per-trial interference totals are reduced over exactly
+the same addends in the same order as :func:`sinr_matrix`, so a columnar
+batch reproduces :func:`successful_receptions` decode-for-decode.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "batch_tensor",
     "batch_tensor_bytes",
     "check_batch_tensor_budget",
-    "stack_distances",
     "interference_at",
     "sinr_matrix",
     "sinr_of_link",
@@ -109,9 +109,9 @@ def gain_matrix(params: SINRParameters, distances: np.ndarray) -> np.ndarray:
 #
 # The three transforms below turn raw RNG output into the multipliers of
 # :class:`~repro.sinr.params.ChannelModel`.  They are deliberately pure
-# elementwise numpy so that the object runtime, the object lockstep
-# executor and the columnar VectorRuntime — which all feed them the same
-# per-trial streams in the same order — produce bit-identical powers.
+# elementwise numpy so that the object runtime and the columnar
+# VectorRuntime — which both feed them the same per-trial streams in the
+# same order — produce bit-identical powers.
 
 
 def rayleigh_gains(uniforms: np.ndarray) -> np.ndarray:
@@ -180,7 +180,7 @@ def effective_gain_matrix(
 
 
 # Ceiling on the bytes a batched (trials, n, n) tensor may allocate
-# before :func:`stack_distances` refuses.  Overridable per call or via
+# before :func:`batch_tensor` refuses.  Overridable per call or via
 # the REPRO_BATCH_TENSOR_BUDGET environment variable (read at each
 # check, so tests and long-lived sessions can adjust it); the default
 # (1 GiB) admits ~16 trials of 2896-node deployments while catching the
@@ -238,7 +238,7 @@ def check_batch_tensor_budget(
 
 
 def batch_tensor(matrices, itemsize: int = 16) -> np.ndarray:
-    """``(trials, n, n)`` view-or-stack for the batched executors.
+    """``(trials, n, n)`` view-or-stack for the columnar runtime.
 
     When every entry is literally the same matrix object — the common
     sweep, many seeds over one cached deployment — a zero-stride
@@ -254,32 +254,6 @@ def batch_tensor(matrices, itemsize: int = 16) -> np.ndarray:
         return np.broadcast_to(first, shape)
     check_batch_tensor_budget(len(matrices), first.shape[0], itemsize=itemsize)
     return np.stack(matrices)
-
-
-def stack_distances(matrices, max_bytes: int | None = None) -> np.ndarray:
-    """Stack per-trial ``(n, n)`` distance matrices into ``(trials, n, n)``.
-
-    All matrices must share one shape; trials over differently-sized
-    deployments cannot be batched together (the engine groups plans by
-    node count before calling this).  The allocation is guarded by
-    :func:`check_batch_tensor_budget`: a stack that would exceed the
-    byte budget raises ``MemoryError`` with a suggested chunk size
-    instead of silently allocating gigabytes.
-    """
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if not mats:
-        raise ValueError("need at least one distance matrix")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"distance matrices must be square; got {shape!r}")
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ValueError(
-                f"cannot stack distance matrices of shapes {shape!r} "
-                f"and {m.shape!r}; batch trials share one node count"
-            )
-    check_batch_tensor_budget(len(mats), shape[0], max_bytes=max_bytes)
-    return np.stack(mats)
 
 
 def interference_at(
@@ -394,6 +368,9 @@ def sinr_matrix(
     return sinr
 
 
+_BETA_VIOLATED = "beta > 1 violated: two decodable senders at one listener"
+
+
 def successful_receptions(
     params: SINRParameters,
     distances: np.ndarray,
@@ -428,16 +405,8 @@ def successful_receptions(
     :func:`successful_receptions_batch`.
     """
     tx = np.asarray(transmitters, dtype=np.intp)
-    n = distances.shape[0]
     if tx.size == 0:
         return {}
-    if listeners is None:
-        listener_mask = np.ones(n, dtype=bool)
-    else:
-        listener_mask = np.zeros(n, dtype=bool)
-        listener_mask[np.asarray(listeners, dtype=np.intp)] = True
-    listener_mask[tx] = False  # half-duplex
-
     sinr = sinr_matrix(
         params,
         distances,
@@ -446,26 +415,32 @@ def successful_receptions(
         gains=gains,
         link_powers=link_powers,
     )
+    # Transmitter columns are already 0.0 (half-duplex) and β > 1, so
+    # only an explicit listener restriction needs a mask.
     ok = sinr >= params.beta  # (k, n)
-    ok[:, ~listener_mask] = False
+    if listeners is not None:
+        listener_mask = np.zeros(distances.shape[0], dtype=bool)
+        listener_mask[np.asarray(listeners, dtype=np.intp)] = True
+        ok[:, ~listener_mask] = False
 
     k_idx, u_idx = np.nonzero(ok)
-    _check_unique_listeners(u_idx)
-    return dict(zip(u_idx.tolist(), tx[k_idx].tolist()))
+    result = dict(zip(u_idx.tolist(), tx[k_idx].tolist()))
+    # A listener decoding two senders collapses into one dict key.
+    if len(result) < u_idx.size:
+        raise RuntimeError(_BETA_VIOLATED)
+    return result
 
 
 def _check_unique_listeners(listener_idx: np.ndarray) -> None:
     """Defend the β > 1 uniqueness invariant in one vectorized check.
 
-    The historical per-pair ``assert u not in result`` cost O(k·n) dict
-    probes on every slot and vanished under ``python -O``; this single
-    ``np.unique`` comparison costs one sort of the (sparse) decode list
-    and runs identically with or without ``-O``.
+    For the batched and sparse kernels, which return index arrays
+    rather than a dict: one ``np.unique`` comparison costs one sort of
+    the (sparse) decode list and runs identically with or without
+    ``python -O``.
     """
     if listener_idx.size != np.unique(listener_idx).size:
-        raise RuntimeError(
-            "beta > 1 violated: two decodable senders at one listener"
-        )
+        raise RuntimeError(_BETA_VIOLATED)
 
 
 def _segment_totals(
@@ -498,37 +473,31 @@ def successful_receptions_batch(
     params: SINRParameters,
     distances: np.ndarray,
     transmitters,
-    listeners=None,
     gains: np.ndarray | None = None,
-    flat: bool = False,
     link_powers: np.ndarray | None = None,
-):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve one slot of ``trials`` independent runs in one reduction.
 
     ``distances`` is the ``(trials, n, n)`` tensor of per-trial pairwise
-    distance matrices (see :func:`stack_distances`); ``transmitters`` is
-    a sequence of ``trials`` index arrays, one per trial (they may have
-    different lengths, including zero).  ``listeners`` is optionally a
-    per-trial sequence of receiver index arrays (default: every
-    non-transmitting node listens).  ``gains`` optionally supplies the
-    precomputed ``(trials, n, n)`` gain tensor of :func:`gain_matrix`.
+    distance matrices (see :func:`batch_tensor`); ``transmitters`` is a
+    sequence of ``trials`` index arrays, one per trial (they may have
+    different lengths, including zero).  Every non-transmitting node
+    listens.  ``gains`` optionally supplies the precomputed
+    ``(trials, n, n)`` gain tensor of :func:`gain_matrix`.
 
-    Returns one ``listener -> transmitter`` dict per trial, in order —
-    or, with ``flat=True``, the dict-building tail is skipped and the
-    decodes come back as three aligned index arrays
+    Returns the decodes as three aligned index arrays
     ``(trial_idx, listener_idx, sender_idx)`` in (trial, transmitter,
-    listener) order, which the columnar :class:`~repro.vectorized`
-    runtime consumes directly without per-decode Python dict traffic.
-
-    The result is bit-identical to calling :func:`successful_receptions`
-    per trial: transmitter rows are laid out *ragged* (trial b owns a
-    contiguous ``(k_b, n)`` block — no padding, so skewed per-trial
-    transmitter counts cost nothing), each block's interference total
-    reduces with exactly the sequential kernel's addend order (see
-    :func:`_segment_totals`), and every other step is elementwise over
-    the flat ``(Σ k_b, n)`` layout.  Uniform power only — the per-sender
-    ``tx_powers`` hook of the sequential kernel is a single-trial
-    feature (Theorem 6.1 experiments).
+    listener) order, which the columnar :mod:`repro.vectorized` runtime
+    consumes directly without per-decode Python dict traffic.  Trial
+    ``b``'s entries, in order, are exactly the items of
+    :func:`successful_receptions` for that trial: transmitter rows are
+    laid out *ragged* (trial b owns a contiguous ``(k_b, n)`` block — no
+    padding, so skewed per-trial transmitter counts cost nothing), each
+    block's interference total reduces with exactly the single-trial
+    kernel's addend order (see :func:`_segment_totals`), and every other
+    step is elementwise over the flat ``(Σ k_b, n)`` layout.  Uniform
+    power only — the per-sender ``tx_powers`` hook of the single-trial
+    kernel is a Theorem 6.1 feature.
 
     ``link_powers`` optionally replaces the gain gather with explicit
     received powers: a flat ``(Σ k_b, n)`` array whose row ``r`` is the
@@ -554,9 +523,7 @@ def successful_receptions_batch(
     sizes = np.array([t.size for t in tx_lists], dtype=np.intp)
     if int(sizes.sum()) == 0:
         empty = np.empty(0, dtype=np.intp)
-        if flat:
-            return empty, empty.copy(), empty.copy()
-        return [{} for _ in range(trials)]
+        return empty, empty.copy(), empty.copy()
     if gains is None and link_powers is None:
         gains = gain_matrix(params, dist)
 
@@ -583,10 +550,10 @@ def successful_receptions_batch(
         else:
             powers = gains[trial_of_row, tx_flat, :]
     # Total received power per (trial, node), bit-identical to the
-    # sequential kernel's per-trial reduction.  The SINR evaluation
-    # reuses the interference buffer in place — identical operations
-    # and operand order as `powers / ((total[tor] - powers) + noise)`,
-    # without three (Σ k_b, n) temporaries per slot.
+    # single-trial kernel's reduction.  The SINR evaluation reuses the
+    # interference buffer in place — identical operations and operand
+    # order as `powers / ((total[tor] - powers) + noise)`, without three
+    # (Σ k_b, n) temporaries per slot.
     total = _segment_totals(powers, sizes, offsets)
     # Expanding total back to rows via repeat (contiguous block copies)
     # beats a fancy-index gather; the values are identical.
@@ -596,16 +563,10 @@ def successful_receptions_batch(
     sinr = np.divide(powers, interference, out=interference)
     ok = sinr >= params.beta
 
-    if listeners is None:
-        listener_mask = np.ones((trials, n), dtype=bool)
-    else:
-        if len(listeners) != trials:
-            raise ValueError("need one listener set per trial")
-        listener_mask = np.zeros((trials, n), dtype=bool)
-        for b, ls in enumerate(listeners):
-            listener_mask[b, np.asarray(ls, dtype=np.intp)] = True
-    listener_mask[trial_of_row, tx_flat] = False  # half-duplex
-    ok &= listener_mask[trial_of_row]
+    # Half-duplex: a transmitter decodes nothing in its own trial.
+    listening = np.ones((trials, n), dtype=bool)
+    listening[trial_of_row, tx_flat] = False
+    ok &= listening[trial_of_row]
 
     row_idx, u_idx = np.nonzero(ok)
     senders = tx_flat[row_idx]
@@ -613,12 +574,4 @@ def successful_receptions_batch(
     # beta > 1 makes two decodes at one (trial, listener) impossible;
     # one vectorized uniqueness check replaces the old per-pair asserts.
     _check_unique_listeners(trials_hit * n + u_idx)
-    if flat:
-        return trials_hit, u_idx, senders
-
-    results: list[dict[int, int]] = [{} for _ in range(trials)]
-    for b, u, sender in zip(
-        trials_hit.tolist(), u_idx.tolist(), senders.tolist()
-    ):
-        results[b][u] = int(sender)
-    return results
+    return trials_hit, u_idx, senders

@@ -1,7 +1,7 @@
 """reprolint — the repository's invariant analyzer.
 
 Every claim this reproduction makes rests on invariants that no
-off-the-shelf linter checks: four executors stay bit-identical only
+off-the-shelf linter checks: the executors stay bit-identical only
 while the RNG-stream contract holds (node streams ``0..n-1``, channel
 stream child ``n``, provider-owned topology seeds — never an OS-entropy
 or wall-clock draw); plans stay distributable only while every

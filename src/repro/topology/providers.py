@@ -28,12 +28,11 @@ Epoch contract
 --------------
 ``Channel.advance_topology(slot)`` is called exactly once per trial per
 slot, in increasing slot order, *before* that slot's transmit decisions
-— by the sequential :class:`~repro.simulation.runtime.Runtime`, the
-lockstep batched executor in :mod:`repro.experiments.engine`, and the
+— by the object :class:`~repro.simulation.runtime.Runtime` and the
 columnar :class:`~repro.vectorized.runtime.VectorRuntime` alike.  All
 provider state transitions therefore happen at identical slot
 boundaries on every executor, which is what keeps dynamic-topology
-trials dataclass-equal across the three.
+trials dataclass-equal across them.
 
 RNG-stream allocation
 ---------------------

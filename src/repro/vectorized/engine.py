@@ -3,9 +3,10 @@
 :func:`vector_eligible` decides whether a
 :class:`~repro.experiments.plans.TrialPlan` can run columnar;
 :func:`run_vector_group` advances one batch-compatible group of eligible
-plans in lockstep on a :class:`~repro.vectorized.runtime.VectorRuntime`,
-reproducing the object engine's phase machinery (done-predicate cadence,
-``extra_slots`` observation tail, slot budgets) so the
+plans slot-synchronously on a
+:class:`~repro.vectorized.runtime.VectorRuntime`, reproducing the object
+path's phase machinery (done-predicate cadence, ``extra_slots``
+observation tail, slot budgets) so the
 :class:`~repro.experiments.plans.TrialResult` of every plan is
 dataclass-equal to what the object path produces.
 
@@ -18,8 +19,9 @@ Eligibility — all of:
   protocol workloads with columnar client populations (smb, mmb,
   consensus; :mod:`repro.vectorized.protocols`).
 
-Everything else falls back to the object lockstep executor — the
-selection happens inside :func:`repro.experiments.run_trials`.
+Everything else runs on the object path, one
+:func:`~repro.experiments.engine.run_trial` at a time — the selection
+happens inside :func:`repro.experiments.engine.execute_plans`.
 """
 
 from __future__ import annotations
@@ -79,8 +81,12 @@ def plan_protocol_config(plan: TrialPlan, cache: ArtifactCache | None = None):
 
 @dataclass
 class _VectorTrialState:
-    """Phase bookkeeping for one trial — the columnar twin of the
-    object engine's ``_TrialState`` (same transitions, same cadence)."""
+    """Phase bookkeeping for one trial in a columnar batch.
+
+    The transitions mirror :func:`~repro.experiments.engine.run_trial`:
+    the done predicate is polled every ``check_every`` slots (or the
+    fixed target reached), the completion slot is recorded, then
+    ``extra_slots`` more slots run before the result is measured."""
 
     index: int  # position in the caller's plan list
     row: int  # position in the batch lattice
@@ -100,15 +106,14 @@ def run_vector_group(
     native: bool | None = None,
     native_threads: int | None = None,
 ) -> dict[int, TrialResult]:
-    """Advance one batch-compatible group of eligible plans in lockstep.
+    """Advance one batch-compatible group of eligible plans together.
 
     ``group`` pairs each plan with its position in the caller's plan
-    list, exactly like the object lockstep executor; all plans must
-    share node count, SINR parameters, stack kind and workload (one
-    columnar client population serves the whole batch).  ``native``
-    selects the runtime backend and ``native_threads`` its trial-axis
-    thread count (see :class:`VectorRuntime`); the results are
-    bit-identical either way.
+    list; all plans must share node count, SINR parameters, stack kind
+    and workload (one columnar client population serves the whole
+    batch).  ``native`` selects the runtime backend and
+    ``native_threads`` its trial-axis thread count (see
+    :class:`VectorRuntime`); the results are bit-identical either way.
     """
     stack_kind = group[0][1].stack
     params = group[0][1].params
@@ -142,6 +147,7 @@ def run_vector_group(
             distances=art.distances,
             gains=art.gains,
             topology=plan.topology,
+            cache=cache,
         )
         for art, (_index, plan) in zip(artifacts, group)
     ]
@@ -243,8 +249,8 @@ def run_vector_group(
         for st in states:
             if st.phase == "done":
                 continue
-            # Phase transitions due at the top of a slot — identical
-            # cadence to the object engine's _TrialState.advance_phase.
+            # Phase transitions due at the top of a slot — the cadence
+            # of Runtime.run_until's check_every polling in run_trial.
             if st.phase == "run":
                 finished = (
                     st.steps >= st.target

@@ -24,7 +24,7 @@ engines is the design invariant (the equivalence tests pin it):
   generator would have produced on that owned slot (see
   :class:`~repro.simulation.rng.NodeUniformBuffer`);
 * per-trial configuration scalars are expanded to per-cell columns at
-  construction, so one lockstep batch may mix trials with different
+  construction, so one columnar batch may mix trials with different
   protocol parameters (e.g. an ε-sweep over one deployment);
 * :meth:`reset` restores the cells of a new broadcast to freshly
   constructed engine state — the columnar form of the object MACs'

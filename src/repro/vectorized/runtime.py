@@ -8,8 +8,9 @@ makes a fixed number of array operations over the ``trials × n``
 lattice — the per-node protocol state lives in a columnar kernel
 (:mod:`repro.vectorized.kernels`), the per-slot uniforms come from a
 bulk pre-draw (:class:`~repro.simulation.rng.NodeUniformBuffer`), and
-the SINR physics of the whole batch resolves through the flat-index
-mode of :func:`~repro.sinr.physics.successful_receptions_batch`.
+the SINR physics of the whole batch resolves through the flat
+``(trial, listener, sender)`` decodes of
+:func:`~repro.sinr.physics.successful_receptions_batch`.
 
 Equivalence contract
 --------------------
@@ -516,7 +517,6 @@ class VectorRuntime:
                     self._dist_stack,
                     tx_ids,
                     gains=self._gain_stack,
-                    flat=True,
                     link_powers=link_powers,
                 )
             )

@@ -6,9 +6,9 @@ plan-level contract: a :class:`TrialPlan` carrying an
 :class:`AdversarySpec` either rides the columnar fast path with
 dataclass-equal results — jamming and gray-zone both deliver through
 ``Channel.finalize_slot``, so the same per-trial adversary RNG stream is
-consumed in the same order on all three executors — or, for
+consumed in the same order on both executors — or, for
 columnar-ineligible stacks, deterministically falls back to the object
-lockstep executor (never silently dropping the injection).
+path (never silently dropping the injection).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from repro.experiments import (
     AdversarySpec,
     DeploymentSpec,
+    ExecutionPolicy,
     TrialPlan,
     run_trials,
     seeded_plans,
@@ -86,14 +87,11 @@ class TestSpecValidation:
 def test_adversary_plans_ride_fast_path_dataclass_equal(kind, stack):
     """The pin: adversary plans are columnar-eligible, and demanding the
     fast path (vectorize=True — no silent fallback possible) produces
-    dataclass-equal results on all three executors."""
+    dataclass-equal results on both executors."""
     plans = make_plans(4, SPECS[kind], stack=stack)
     assert all(vector_eligible(plan) for plan in plans)
     sequential = [run_trial(plan) for plan in plans]
-    batched = run_trials(plans, vectorize=False)
-    columnar = run_trials(plans, vectorize=True)
-    assert sequential == batched
-    assert batched == columnar
+    assert sequential == run_trials(plans, ExecutionPolicy(vectorize=True))
     assert all(result.transmissions > 0 for result in sequential)
 
 
@@ -106,7 +104,7 @@ def test_adversary_protocol_workload_on_fast_path(kind):
         options=TrialPlan.pack_options(source=0),
     )
     sequential = [run_trial(plan) for plan in plans]
-    assert sequential == run_trials(plans, vectorize=True)
+    assert sequential == run_trials(plans, ExecutionPolicy(vectorize=True))
 
 
 def test_erasures_actually_happen():
@@ -128,15 +126,15 @@ def test_erasures_actually_happen():
 
 def test_ineligible_stack_falls_back_deterministically():
     """A columnar-ineligible stack with an adversary spec runs the
-    object lockstep executor under auto-selection — same results as
-    sequential, and vectorize=True refuses loudly rather than dropping
-    the injection."""
+    object path under auto-selection — same results as run_trial, and
+    vectorize=True refuses loudly rather than dropping the
+    injection."""
     plans = make_plans(2, JAMMING, stack="combined")
     assert not any(vector_eligible(plan) for plan in plans)
     sequential = [run_trial(plan) for plan in plans]
     assert sequential == run_trials(plans)  # auto-select: object path
     with pytest.raises(ValueError, match="not columnar-eligible"):
-        run_trials(plans, vectorize=True)
+        run_trials(plans, ExecutionPolicy(vectorize=True))
 
 
 def test_jam_slots_and_pool_pickling():
@@ -146,4 +144,6 @@ def test_jam_slots_and_pool_pickling():
             kind="jamming", jam_slots=tuple(range(0, 64, 4)), seed=3
         ),
     )
-    assert run_trials(plans, workers=1) == run_trials(plans, workers=2)
+    assert run_trials(plans, ExecutionPolicy(workers=1)) == run_trials(
+        plans, ExecutionPolicy(workers=2)
+    )

@@ -8,16 +8,15 @@ Four layers of evidence:
   stream, so enabling the model perturbs only the physics);
 * **physics** — the ``link_powers`` override of the reception kernels:
   feeding the deterministic powers back through it changes nothing,
-  and the batched kernel resolves per-trial power blocks exactly like
-  per-trial sequential calls;
+  and the batched kernel's flat decodes resolve per-trial power blocks
+  exactly like per-trial :func:`successful_receptions` calls;
 * **channel** — :meth:`Channel.bind_trial_seed` /
   :meth:`Channel.slot_link_powers` semantics (arming, determinism,
   stream consumption, the unarmed error);
-* **executors** — the ISSUE acceptance matrix: with fading enabled,
+* **executors** — the acceptance matrix: with fading enabled,
   vectorized runs are dataclass-equal to the object runtime across
-  {decay, ack} x {1, 8 trials}, the object lockstep batch matches the
-  sequential path for non-columnar stacks, and an inert model is
-  byte-identical to no model at all.
+  {decay, ack} x {1, 8 trials}, and an inert model is byte-identical
+  to no model at all.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import pytest
 
 from repro.experiments import (
     DeploymentSpec,
+    ExecutionPolicy,
     TrialPlan,
     deployment_artifacts,
     resolve_deployment,
@@ -165,7 +165,7 @@ class TestLinkPowers:
 
     def test_batch_matches_per_trial_blocks(self):
         """The batched kernel with a flat (sum k, n) power layout must
-        equal per-trial sequential resolution of the same blocks."""
+        equal per-trial resolution of the same blocks, in order."""
         points = resolve_deployment(DEPLOYMENT)
         params = SINRParameters()
         art = deployment_artifacts(points, params)
@@ -181,14 +181,14 @@ class TestLinkPowers:
             if tx.size
         ]
         dist_stack = np.broadcast_to(art.distances, (3, N, N))
-        batched = successful_receptions_batch(
+        trial_idx, listener_idx, sender_idx = successful_receptions_batch(
             params,
             dist_stack,
             tx_lists,
             link_powers=np.concatenate(blocks),
         )
         block_iter = iter(blocks)
-        for tx, got in zip(tx_lists, batched):
+        for t, tx in enumerate(tx_lists):
             expected = (
                 successful_receptions(
                     params, art.distances, tx, link_powers=next(block_iter)
@@ -196,7 +196,11 @@ class TestLinkPowers:
                 if tx.size
                 else {}
             )
-            assert got == expected
+            mine = trial_idx == t
+            got = list(
+                zip(listener_idx[mine].tolist(), sender_idx[mine].tolist())
+            )
+            assert got == list(expected.items())
 
     def test_link_powers_shape_validated(self):
         points = resolve_deployment(DEPLOYMENT)
@@ -301,25 +305,19 @@ def test_fading_vectorized_equals_object(stack, trials):
     """The ISSUE acceptance matrix: with the full stochastic model on,
     the columnar fast path is dataclass-equal to the object runtime."""
     plans = fading_plans(stack, trials)
-    vec = run_trials(plans, vectorize=True)
-    obj = run_trials(plans, vectorize=False)
+    vec = run_trials(plans, ExecutionPolicy(vectorize=True))
+    obj = run_trials(plans, ExecutionPolicy(vectorize=False))
     assert vec == obj
     assert all(result.transmissions > 0 for result in vec)
 
 
 def test_fading_sequential_matches_batched():
-    """The third executor: one-at-a-time sequential runs agree too."""
+    """One-at-a-time object runs agree with the default dispatch, which
+    batches these Decay plans on the columnar path."""
     plans = fading_plans("decay", 4)
-    assert run_trials(plans, mode="sequential") == run_trials(plans)
-
-
-@pytest.mark.slow
-def test_fading_object_lockstep_matches_sequential():
-    """Non-columnar stacks (combined Algorithm 11.1) run fading trials
-    on the object lockstep executor; its per-trial link-power blocks
-    must reproduce the sequential channel stream exactly."""
-    plans = fading_plans("combined", 4)
-    assert run_trials(plans) == run_trials(plans, mode="sequential")
+    assert run_trials(plans, ExecutionPolicy(vectorize=False)) == (
+        run_trials(plans)
+    )
 
 
 def test_fading_protocol_workload_on_fast_path():
@@ -328,8 +326,8 @@ def test_fading_protocol_workload_on_fast_path():
     plans = fading_plans(
         "decay", 4, workload="smb", options=TrialPlan.pack_options(source=0)
     )
-    assert run_trials(plans, vectorize=True) == run_trials(
-        plans, vectorize=False
+    assert run_trials(plans, ExecutionPolicy(vectorize=True)) == run_trials(
+        plans, ExecutionPolicy(vectorize=False)
     )
 
 

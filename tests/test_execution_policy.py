@@ -1,33 +1,27 @@
-"""ExecutionPolicy and the legacy-kwarg deprecation shim.
+"""ExecutionPolicy: every execution knob as one frozen value.
 
-The API-redesign contract of PR 8: every execution knob
-``run_trials`` grew over PRs 1-7 (``mode``, ``workers``, ``vectorize``,
-``native``) now travels as one frozen :class:`ExecutionPolicy`, the
-legacy kwargs keep working through a once-per-process deprecation
-warning, and — the load-bearing pin — both spellings produce
-dataclass-equal results because they resolve to the same policy and the
-same :func:`~repro.experiments.engine.execute_plans` funnel.
+``run_trials(plans, policy=None, *, cache=None)`` is the one spelling:
+the policy's five fields select executors and resource bounds, never
+results, and the removed ``mode`` field and legacy keyword arguments
+fail loudly instead of being ignored.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
-import warnings
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from repro.core.ack_protocol import AckConfig
-from repro.core.decay import DecayConfig
 from repro.experiments import (
     DeploymentSpec,
     ExecutionPolicy,
     TrialPlan,
-    resolve_policy,
     run_trials,
     seeded_plans,
 )
-from repro.experiments import policy as policy_module
 from repro.simulation.rng import spawn_trial_seeds
 
 DEPLOYMENT = DeploymentSpec.of("uniform_disk", n=10, radius=6.0, seed=21)
@@ -43,17 +37,10 @@ def make_plans(trials=3, stack="decay", **kwargs):
     return seeded_plans(base, spawn_trial_seeds(trials, seed=5))
 
 
-@pytest.fixture
-def fresh_warning_latch(monkeypatch):
-    """Re-arm the once-per-process deprecation warning for one test."""
-    monkeypatch.setattr(policy_module, "_LEGACY_WARNED", False)
-
-
 class TestExecutionPolicy:
     def test_defaults(self):
         policy = ExecutionPolicy()
         assert policy == ExecutionPolicy(
-            mode="batched",
             workers=1,
             vectorize=None,
             native=None,
@@ -68,9 +55,23 @@ class TestExecutionPolicy:
         assert hash(policy) == hash(ExecutionPolicy(workers=3, vectorize=False))
         assert pickle.loads(pickle.dumps(policy)) == policy
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            ExecutionPolicy(mode="warp")
+    def test_fields_and_methods(self):
+        names = [f.name for f in dataclasses.fields(ExecutionPolicy)]
+        assert names == [
+            "workers",
+            "vectorize",
+            "native",
+            "native_threads",
+            "share_cache",
+        ]
+        methods = [
+            name
+            for name, value in vars(ExecutionPolicy).items()
+            if callable(value) and not name.startswith("_")
+        ]
+        assert methods == ["for_worker"]
+        with pytest.raises(TypeError, match="mode"):
+            ExecutionPolicy(**{"mode": "sequential"})
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -81,10 +82,6 @@ class TestExecutionPolicy:
             ExecutionPolicy(native_threads=0)
         # None defers to REPRO_NATIVE_THREADS; 1 is explicit serial.
         assert ExecutionPolicy(native_threads=1).native_threads == 1
-
-    def test_rejects_sequential_vectorize_demand(self):
-        with pytest.raises(ValueError, match="columnar"):
-            ExecutionPolicy(mode="sequential", vectorize=True)
 
     def test_for_worker_flattens_parallelism_only(self):
         policy = ExecutionPolicy(workers=4, vectorize=True, native=False,
@@ -97,88 +94,10 @@ class TestExecutionPolicy:
         # Already-flat policies come back as the same object.
         assert worker.for_worker() is worker
 
-    def test_describe_is_compact(self):
-        assert ExecutionPolicy().describe() == "batched"
-        text = ExecutionPolicy(
-            mode="batched", workers=3, native=True, share_cache=False
-        ).describe()
-        assert "workers=3" in text and "native=True" in text
-        assert "private-cache" in text
-        assert "native-threads=4" in ExecutionPolicy(
-            native_threads=4
-        ).describe()
-
-
-class TestResolvePolicy:
-    def test_none_means_default(self):
-        assert resolve_policy(None) == ExecutionPolicy()
-
-    def test_policy_passes_through(self):
-        policy = ExecutionPolicy(mode="sequential")
-        assert resolve_policy(policy) is policy
-
-    def test_legacy_kwargs_build_equal_policy(self, fresh_warning_latch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            resolved = resolve_policy(
-                None, mode="batched", workers=2, vectorize=False, native=True
-            )
-        assert resolved == ExecutionPolicy(
-            mode="batched", workers=2, vectorize=False, native=True
-        )
-
-    def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_policy(ExecutionPolicy(), workers=2)
-
-    def test_non_policy_is_an_error(self):
-        with pytest.raises(TypeError, match="ExecutionPolicy"):
-            resolve_policy("batched")  # a classic positional mistake
-
-    def test_warns_once_per_process(self, fresh_warning_latch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_policy(None, workers=2)
-            resolve_policy(None, mode="sequential")
-        messages = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-        assert "ExecutionPolicy" in str(messages[0].message)
-
-    def test_legacy_validation_still_raises(self, fresh_warning_latch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="unknown mode"):
-                resolve_policy(None, mode="warp")
-            with pytest.raises(ValueError, match="workers"):
-                resolve_policy(None, workers=0)
-            with pytest.raises(ValueError, match="columnar"):
-                resolve_policy(None, mode="sequential", vectorize=True)
-
 
 class TestRunTrialsShim:
-    """The acceptance pin: shim and policy paths are dataclass-equal."""
-
-    @pytest.mark.parametrize(
-        "legacy, policy",
-        [
-            (dict(mode="sequential"), ExecutionPolicy(mode="sequential")),
-            (dict(vectorize=False), ExecutionPolicy(vectorize=False)),
-            (
-                dict(mode="batched", native=False),
-                ExecutionPolicy(mode="batched", native=False),
-            ),
-        ],
-    )
-    def test_shim_equals_policy_path(self, legacy, policy):
-        plans = make_plans(
-            decay_config=DecayConfig(contention_bound=16.0)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_shim = run_trials(plans, **legacy)
-        via_policy = run_trials(plans, policy)
-        assert via_shim == via_policy
+    """``run_trials``, the thin entry over ``execute_plans``, has one
+    spelling: ``run_trials(plans, policy, *, cache)``."""
 
     def test_policy_accepts_mixed_stacks(self):
         plans = make_plans(stack="decay") + make_plans(
@@ -188,10 +107,11 @@ class TestRunTrialsShim:
         explicit = run_trials(plans, ExecutionPolicy())
         assert default == explicit
 
-    def test_run_trials_rejects_both_spellings(self):
+    def test_run_trials_rejects_legacy_kwargs(self):
         plans = make_plans(trials=1)
-        with pytest.raises(TypeError, match="not both"):
-            run_trials(plans, ExecutionPolicy(), workers=2)
+        for legacy in ("mode", "workers", "vectorize", "native"):
+            with pytest.raises(TypeError, match=legacy):
+                run_trials(plans, **{legacy: None})
 
     def test_run_trials_rejects_positional_mode_string(self):
         plans = make_plans(trials=1)

@@ -92,9 +92,9 @@ def test_results_bit_identical_native(stack, trials, broadcasters):
     """The acceptance matrix: native == numpy == object, field for
     field (counters-only plans — the shape the C kernel fuses)."""
     plans = make_plans(stack, trials, broadcasters, record_physical=False)
-    nat = run_trials(plans, vectorize=True, native=True)
-    ref = run_trials(plans, vectorize=True, native=False)
-    obj = run_trials(plans, vectorize=False)
+    nat = run_trials(plans, ExecutionPolicy(vectorize=True, native=True))
+    ref = run_trials(plans, ExecutionPolicy(vectorize=True, native=False))
+    obj = run_trials(plans, ExecutionPolicy(vectorize=False))
     assert nat == ref == obj
     # Guard against the trivial way this could pass: the runs did work.
     assert all(result.transmissions > 0 for result in nat)
@@ -113,9 +113,9 @@ def test_fixed_slots_native(stack):
         extra_slots=25,
         record_physical=False,
     )
-    assert run_trials(plans, vectorize=True, native=True) == run_trials(
-        plans, vectorize=True, native=False
-    )
+    assert run_trials(
+        plans, ExecutionPolicy(vectorize=True, native=True)
+    ) == run_trials(plans, ExecutionPolicy(vectorize=True, native=False))
 
 
 @needs_native

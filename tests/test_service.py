@@ -100,7 +100,7 @@ class TestShardPlans:
 
 
 def _dummy_results(plans):
-    return run_trials(plans, ExecutionPolicy(mode="sequential"))
+    return run_trials(plans, ExecutionPolicy(vectorize=False))
 
 
 class TestJobStreaming:
@@ -368,3 +368,16 @@ class TestTcpService:
             with pytest.raises(RuntimeError, match="service error"):
                 client._call({"op": "status", "job_id": 999})
             assert client.stats()["workers"] == 1
+
+    def test_policy_carrying_mode_is_refused(self):
+        """``mode`` left the policy: a stale payload gets an error reply
+        and no job, never a silent default run."""
+        request = ServiceClient()._submit_request(
+            make_plans(trials=1), ExecutionPolicy(), stream=False
+        )
+        request["policy"]["mode"] = "sequential"
+        with start_service(workers=1) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            with pytest.raises(RuntimeError, match="mode"):
+                client._call(request)
+            assert client.stats()["submitted"] == 0

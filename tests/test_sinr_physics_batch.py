@@ -1,4 +1,9 @@
-"""Batched SINR kernels: equivalence with the sequential reference."""
+"""Batched SINR kernels: equivalence with the single-trial reference.
+
+:func:`successful_receptions` stays the reference: trial ``b``'s slice
+of the batch's flat ``(trial, listener, sender)`` decodes must equal its
+dict items, in order.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +15,11 @@ from repro.geometry.points import pairwise_distances
 from repro.sinr.params import SINRParameters
 from repro.sinr.physics import (
     _check_unique_listeners,
+    batch_tensor,
     check_batch_tensor_budget,
     gain_matrix,
     received_power,
     sinr_matrix,
-    stack_distances,
     successful_receptions,
     successful_receptions_batch,
 )
@@ -39,7 +44,25 @@ def random_trials(params, trials=6, n=14, seed=0):
         tx_sets.append(
             np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
         )
-    return stack_distances(matrices), tx_sets
+    return np.stack(matrices), tx_sets
+
+
+def per_trial(flat, trials):
+    """The batch's flat decodes as one ``[(listener, sender), ...]``
+    list per trial, in the batch's order."""
+    t_idx, u_idx, s_idx = flat
+    out = [[] for _ in range(trials)]
+    for t, u, s in zip(t_idx.tolist(), u_idx.tolist(), s_idx.tolist()):
+        out[t].append((u, s))
+    return out
+
+
+def reference(params, stack, tx_sets):
+    """Per-trial successful_receptions items — the reference decodes."""
+    return [
+        list(successful_receptions(params, stack[b], tx).items())
+        for b, tx in enumerate(tx_sets)
+    ]
 
 
 class TestGainMatrix:
@@ -82,53 +105,47 @@ class TestBatchedReceptions:
     def test_matches_sequential_per_trial(self, params):
         stack, tx_sets = random_trials(params, trials=8, n=14, seed=1)
         batch = successful_receptions_batch(params, stack, tx_sets)
-        for b, tx in enumerate(tx_sets):
-            assert batch[b] == successful_receptions(params, stack[b], tx)
+        assert per_trial(batch, 8) == reference(params, stack, tx_sets)
 
     def test_precomputed_gains_identical(self, params):
         stack, tx_sets = random_trials(params, trials=5, n=12, seed=2)
         gains = gain_matrix(params, stack)
-        assert successful_receptions_batch(
+        cached = successful_receptions_batch(
             params, stack, tx_sets, gains=gains
-        ) == successful_receptions_batch(params, stack, tx_sets)
+        )
+        direct = successful_receptions_batch(params, stack, tx_sets)
+        for got, want in zip(cached, direct):
+            assert np.array_equal(got, want)
 
     def test_empty_transmitter_trials(self, params):
         stack, tx_sets = random_trials(params, trials=4, n=10, seed=3)
         tx_sets[1] = np.empty(0, dtype=np.intp)
-        batch = successful_receptions_batch(params, stack, tx_sets)
-        assert batch[1] == {}
-        for b in (0, 2, 3):
-            assert batch[b] == successful_receptions(
-                params, stack[b], tx_sets[b]
-            )
+        batch = per_trial(
+            successful_receptions_batch(params, stack, tx_sets), 4
+        )
+        assert batch[1] == []
+        assert batch == reference(params, stack, tx_sets)
 
     def test_all_trials_silent(self, params):
         stack, _ = random_trials(params, trials=3, n=6, seed=4)
         empty = [np.empty(0, dtype=np.intp)] * 3
-        assert successful_receptions_batch(params, stack, empty) == [{}] * 3
-
-    def test_per_trial_listener_restriction(self, params):
-        stack, tx_sets = random_trials(params, trials=4, n=12, seed=5)
-        listeners = [np.array([0, 1, 2]), np.array([5]), np.arange(12), []]
-        batch = successful_receptions_batch(
-            params, stack, tx_sets, listeners=listeners
-        )
-        for b, (tx, ls) in enumerate(zip(tx_sets, listeners)):
-            assert batch[b] == successful_receptions(
-                params, stack[b], tx, listeners=np.asarray(ls, dtype=np.intp)
-            )
+        batch = successful_receptions_batch(params, stack, empty)
+        assert per_trial(batch, 3) == [[], [], []]
 
     def test_half_duplex_in_batch(self, params):
         # Node 0 transmits in trial 0 only; it must still be able to
         # listen in trial 1 (padding/masking must be per-trial).
         points = uniform_disk(6, radius=4.0, seed=9)
         dists = pairwise_distances(points.coords)
-        stack = stack_distances([dists, dists])
-        batch = successful_receptions_batch(
-            params, stack, [np.array([0]), np.array([1])]
+        stack = np.stack([dists, dists])
+        batch = per_trial(
+            successful_receptions_batch(
+                params, stack, [np.array([0]), np.array([1])]
+            ),
+            2,
         )
-        assert 0 not in batch[0]
-        assert batch[1].get(0) == 1  # dense disk: node 0 decodes node 1
+        assert 0 not in dict(batch[0])
+        assert dict(batch[1]).get(0) == 1  # dense disk: 0 decodes 1
 
     def test_rejects_wrong_rank(self, params):
         dists = pairwise_distances(uniform_disk(5, 6.0, seed=1).coords)
@@ -139,44 +156,24 @@ class TestBatchedReceptions:
         stack, tx_sets = random_trials(params, trials=3, n=8, seed=6)
         with pytest.raises(ValueError, match="one transmitter set"):
             successful_receptions_batch(params, stack, tx_sets[:2])
-        with pytest.raises(ValueError, match="one listener set"):
-            successful_receptions_batch(
-                params, stack, tx_sets, listeners=[np.array([0])]
-            )
-
-
-class TestStackDistances:
-    def test_stacks(self, params):
-        a = pairwise_distances(uniform_disk(7, 6.0, seed=1).coords)
-        b = pairwise_distances(uniform_disk(7, 6.0, seed=2).coords)
-        stacked = stack_distances([a, b])
-        assert stacked.shape == (2, 7, 7)
-        assert np.array_equal(stacked[0], a)
-        assert np.array_equal(stacked[1], b)
-
-    def test_rejects_empty_and_mixed_shapes(self):
-        with pytest.raises(ValueError, match="at least one"):
-            stack_distances([])
-        with pytest.raises(ValueError, match="square"):
-            stack_distances([np.zeros((3, 4))])
-        with pytest.raises(ValueError, match="one node count"):
-            stack_distances([np.zeros((3, 3)), np.zeros((4, 4))])
 
 
 class TestFlatIndexMode:
-    """flat=True returns (trial, listener, sender) arrays equal to the
-    dict mode's content, in (trial, transmitter, listener) order."""
+    """The batch returns (trial, listener, sender) arrays in (trial,
+    transmitter, listener) order."""
 
     def test_flat_matches_dicts(self, params):
         stack, tx_sets = random_trials(params, trials=7, n=14, seed=7)
-        dicts = successful_receptions_batch(params, stack, tx_sets)
         t_idx, u_idx, s_idx = successful_receptions_batch(
-            params, stack, tx_sets, flat=True
+            params, stack, tx_sets
         )
         rebuilt = [dict() for _ in range(len(tx_sets))]
         for t, u, s in zip(t_idx.tolist(), u_idx.tolist(), s_idx.tolist()):
             rebuilt[t][u] = s
-        assert rebuilt == dicts
+        assert rebuilt == [
+            successful_receptions(params, stack[b], tx)
+            for b, tx in enumerate(tx_sets)
+        ]
         # trial indices come back sorted (trial-major flat layout)
         assert np.all(np.diff(t_idx) >= 0)
 
@@ -184,23 +181,9 @@ class TestFlatIndexMode:
         stack, _ = random_trials(params, trials=3, n=6, seed=8)
         empty = [np.empty(0, dtype=np.intp)] * 3
         t_idx, u_idx, s_idx = successful_receptions_batch(
-            params, stack, empty, flat=True
+            params, stack, empty
         )
         assert t_idx.size == u_idx.size == s_idx.size == 0
-
-    def test_flat_respects_listener_restriction(self, params):
-        stack, tx_sets = random_trials(params, trials=4, n=12, seed=9)
-        listeners = [np.array([0, 1, 2]), np.array([5]), np.arange(12), []]
-        dicts = successful_receptions_batch(
-            params, stack, tx_sets, listeners=listeners
-        )
-        t_idx, u_idx, s_idx = successful_receptions_batch(
-            params, stack, tx_sets, listeners=listeners, flat=True
-        )
-        rebuilt = [dict() for _ in range(len(tx_sets))]
-        for t, u, s in zip(t_idx.tolist(), u_idx.tolist(), s_idx.tolist()):
-            rebuilt[t][u] = s
-        assert rebuilt == dicts
 
 
 class TestBatchTensorBudget:
@@ -220,13 +203,20 @@ class TestBatchTensorBudget:
     def test_zero_budget_disables_guard(self):
         check_batch_tensor_budget(10_000, 10_000, max_bytes=0)
 
-    def test_stack_distances_guarded(self):
-        mats = [np.ones((20, 20)) for _ in range(6)]
+    def test_batch_tensor_guarded(self, monkeypatch):
+        budget = str(3 * 20 * 20 * 16)
+        monkeypatch.setenv("REPRO_BATCH_TENSOR_BUDGET", budget)
+        distinct = [np.full((20, 20), float(i)) for i in range(6)]
         with pytest.raises(MemoryError, match="REPRO_BATCH_TENSOR_BUDGET"):
-            stack_distances(mats, max_bytes=3 * 20 * 20 * 8)
-        assert stack_distances(mats, max_bytes=6 * 20 * 20 * 8).shape == (
-            6, 20, 20,
-        )
+            batch_tensor(distinct)
+        assert np.array_equal(batch_tensor(distinct[:3])[2], distinct[2])
+        # One shared matrix costs nothing: a zero-stride view, whatever
+        # the trial count.
+        shared = np.ones((20, 20))
+        view = batch_tensor([shared] * 6)
+        assert view.shape == (6, 20, 20)
+        assert view.strides[0] == 0
+        assert np.shares_memory(view, shared)
 
     def test_default_budget_admits_engine_scale(self):
         # The default must not get in the way of the recorded
@@ -244,3 +234,13 @@ class TestUniquenessCheck:
     def test_unique_listeners_pass(self):
         _check_unique_listeners(np.array([2, 0, 5], dtype=np.intp))
         _check_unique_listeners(np.empty(0, dtype=np.intp))
+
+    def test_single_trial_kernel_raises_on_double_decode(self, params):
+        # Force the impossible: with beta < 1, a listener midway between
+        # two transmitters decodes both (SINR just under 1 each).
+        object.__setattr__(params, "beta", 0.4)
+        dists = pairwise_distances(
+            np.array([[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        )
+        with pytest.raises(RuntimeError, match="beta > 1 violated"):
+            successful_receptions(params, dists, np.array([1, 2]))

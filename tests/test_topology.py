@@ -12,10 +12,10 @@ Four layers of evidence:
   through the artifact cache, and the channel model's static
   multipliers re-fold without extra draws;
 * **equivalence** — the acceptance matrix: mobility and churn plans
-  produce dataclass-equal :class:`TrialResult`s across the sequential,
-  lockstep-batched and columnar executors over {decay, ack} × {1, 8
-  trials}, plus protocol workloads, stochastic channels, counters-only
-  mode, mixed static/dynamic batches and the process pool;
+  produce dataclass-equal :class:`TrialResult`s on the object and
+  columnar executors over {decay, ack} × {1, 8 trials}, plus protocol
+  workloads, stochastic channels, counters-only mode, mixed
+  static/dynamic batches and the process pool;
 * **static identity** — a plan with ``topology=None`` or
   :class:`StaticTopology` is byte-identical to the pre-topology seed
   (same TrialResults, zero provider state, zero extra draws).
@@ -31,6 +31,7 @@ import pytest
 from repro.experiments import (
     ArtifactCache,
     DeploymentSpec,
+    ExecutionPolicy,
     TrialPlan,
     run_trials,
     seeded_plans,
@@ -77,13 +78,10 @@ def make_plans(stack, trials, topology, **kwargs):
     return seeded_plans(base, spawn_trial_seeds(trials, seed=5))
 
 
-def assert_three_executors_agree(plans):
-    """Sequential, lockstep-batched and columnar must be dataclass-equal."""
+def assert_executors_agree(plans):
+    """The object path and the columnar path must be dataclass-equal."""
     sequential = [run_trial(plan) for plan in plans]
-    batched = run_trials(plans, vectorize=False)
-    columnar = run_trials(plans, vectorize=True)
-    assert sequential == batched
-    assert batched == columnar
+    assert sequential == run_trials(plans, ExecutionPolicy(vectorize=True))
     assert all(result.transmissions > 0 for result in sequential)
     return sequential
 
@@ -328,7 +326,7 @@ class TestChannelTopology:
     "topology", [MOBILITY, CHURN], ids=["mobility", "churn"]
 )
 def test_dynamic_results_equal_across_executors(stack, trials, topology):
-    assert_three_executors_agree(make_plans(stack, trials, topology))
+    assert_executors_agree(make_plans(stack, trials, topology))
 
 
 def test_composite_with_stochastic_channel_across_executors():
@@ -337,13 +335,13 @@ def test_composite_with_stochastic_channel_across_executors():
             rayleigh=True, shadowing_sigma_db=3.0, power_spread=2.0
         )
     )
-    assert_three_executors_agree(
+    assert_executors_agree(
         make_plans("ack", 3, COMPOSITE, params=params)
     )
 
 
 def test_counters_only_churn_across_executors():
-    results = assert_three_executors_agree(
+    results = assert_executors_agree(
         make_plans("decay", 4, COMPOSITE, record_physical=False)
     )
     assert all(result.approg_latencies == () for result in results)
@@ -364,7 +362,7 @@ def test_protocol_workloads_under_dynamic_topology(workload, stack, options):
             random_churn_schedule(N, 0.0005, 400, 60, seed=3, spare=(0,)),
         )
     )
-    assert_three_executors_agree(
+    assert_executors_agree(
         make_plans(stack, 2, topology, workload=workload, options=options)
     )
 
@@ -374,13 +372,15 @@ def test_mixed_static_and_dynamic_plans_in_one_run():
     dynamic = make_plans("decay", 2, MOBILITY)
     plans = static + dynamic
     sequential = [run_trial(plan) for plan in plans]
-    assert sequential == run_trials(plans, vectorize=False)
-    assert sequential == run_trials(plans, vectorize=True)
+    assert sequential == run_trials(plans, ExecutionPolicy(vectorize=False))
+    assert sequential == run_trials(plans, ExecutionPolicy(vectorize=True))
 
 
 def test_process_pool_with_dynamic_topology():
     plans = make_plans("decay", 4, COMPOSITE)
-    assert run_trials(plans, workers=1) == run_trials(plans, workers=2)
+    assert run_trials(plans, ExecutionPolicy(workers=1)) == run_trials(
+        plans, ExecutionPolicy(workers=2)
+    )
 
 
 def test_churn_slows_completion():

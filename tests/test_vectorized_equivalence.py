@@ -27,7 +27,13 @@ import pytest
 from repro.core.ack_protocol import AckConfig, AckMacLayer
 from repro.core.decay import DecayConfig, DecayMacLayer
 from repro.core.events import MessageRegistry
-from repro.experiments import DeploymentSpec, TrialPlan, run_trials, seeded_plans
+from repro.experiments import (
+    DeploymentSpec,
+    ExecutionPolicy,
+    TrialPlan,
+    run_trials,
+    seeded_plans,
+)
 from repro.experiments.cache import deployment_artifacts, resolve_deployment
 from repro.simulation.rng import NodeUniformBuffer, spawn_node_rngs, spawn_trial_seeds
 from repro.simulation.runtime import Runtime, RuntimeConfig
@@ -59,8 +65,8 @@ def make_plans(stack, trials, broadcasters, **kwargs):
 def test_results_bit_identical(stack, trials, broadcasters):
     """The acceptance matrix: vectorized == object, field for field."""
     plans = make_plans(stack, trials, broadcasters)
-    vec = run_trials(plans, vectorize=True)
-    obj = run_trials(plans, vectorize=False)
+    vec = run_trials(plans, ExecutionPolicy(vectorize=True))
+    obj = run_trials(plans, ExecutionPolicy(vectorize=False))
     assert vec == obj
     # Guard against the trivial way this could pass: the runs did work.
     assert all(result.transmissions > 0 for result in vec)
@@ -77,8 +83,8 @@ def test_results_bit_identical_fixed_slots(stack):
         options=TrialPlan.pack_options(slots=400),
         extra_slots=25,
     )
-    assert run_trials(plans, vectorize=True) == run_trials(
-        plans, vectorize=False
+    assert run_trials(plans, ExecutionPolicy(vectorize=True)) == run_trials(
+        plans, ExecutionPolicy(vectorize=False)
     )
 
 
@@ -112,8 +118,8 @@ def test_fixed_slots_defines_its_own_vector_finalize():
 def test_results_bit_identical_without_physical_trace():
     """record_physical=False (production-throughput mode) matches too."""
     plans = make_plans("decay", 4, None, record_physical=False)
-    vec = run_trials(plans, vectorize=True)
-    assert vec == run_trials(plans, vectorize=False)
+    vec = run_trials(plans, ExecutionPolicy(vectorize=True))
+    assert vec == run_trials(plans, ExecutionPolicy(vectorize=False))
     assert all(result.approg_latencies == () for result in vec)
     assert all(result.ack_latencies for result in vec)
 
@@ -132,8 +138,8 @@ def test_heterogeneous_configs_one_batch():
         )
         for eps in (0.4, 0.1, 0.01)
     ]
-    assert run_trials(plans, vectorize=True) == run_trials(
-        plans, vectorize=False
+    assert run_trials(plans, ExecutionPolicy(vectorize=True)) == run_trials(
+        plans, ExecutionPolicy(vectorize=False)
     )
 
 
@@ -143,16 +149,11 @@ def test_vectorize_true_rejects_ineligible_plans():
     )
     assert not vector_eligible(plan)
     with pytest.raises(ValueError, match="not columnar-eligible"):
-        run_trials([plan], vectorize=True)
-    # Sequential mode never runs the columnar executor, so demanding
-    # it there is a contradiction, not a silent object-path run.
-    eligible = TrialPlan(
-        deployment=DEPLOYMENT, stack="decay", workload="local_broadcast"
+        run_trials([plan], ExecutionPolicy(vectorize=True))
+    # Auto-selection silently routes it to the object path instead.
+    assert run_trials([plan]) == run_trials(
+        [plan], ExecutionPolicy(vectorize=False)
     )
-    with pytest.raises(ValueError, match="batched mode"):
-        run_trials([eligible], mode="sequential", vectorize=True)
-    # Auto mode silently routes it to the object executor instead.
-    assert run_trials([plan]) == run_trials([plan], vectorize=False)
 
 
 # -- trace-level equivalence ------------------------------------------------

@@ -28,6 +28,7 @@ from repro.core.ack_protocol import AckConfig
 from repro.core.decay import DecayConfig
 from repro.experiments import (
     DeploymentSpec,
+    ExecutionPolicy,
     TrialPlan,
     run_trials,
     seeded_plans,
@@ -99,8 +100,8 @@ def test_smb_results_bit_identical(stack, trials, source):
         spawn_trial_seeds(trials, seed=5),
     )
     assert all(vector_eligible(plan) for plan in plans)
-    vec = run_trials(plans, vectorize=True)
-    obj = run_trials(plans, vectorize=False)
+    vec = run_trials(plans, ExecutionPolicy(vectorize=True))
+    obj = run_trials(plans, ExecutionPolicy(vectorize=False))
     assert vec == obj
     # The broadcast really crossed the network: every completion is a
     # positive slot count and relays transmitted beyond the source.
@@ -126,8 +127,8 @@ def test_mmb_results_bit_identical(stack, trials, k, spread):
         spawn_trial_seeds(trials, seed=6),
     )
     assert all(vector_eligible(plan) for plan in plans)
-    vec = run_trials(plans, vectorize=True)
-    obj = run_trials(plans, vectorize=False)
+    vec = run_trials(plans, ExecutionPolicy(vectorize=True))
+    obj = run_trials(plans, ExecutionPolicy(vectorize=False))
     assert vec == obj
     assert all(result.completion > 0 for result in vec)
     # Relaying happened (the final relays may still await their acks at
@@ -146,8 +147,8 @@ def test_consensus_results_bit_identical(stack, trials, explicit_values):
         spawn_trial_seeds(trials, seed=7),
     )
     assert all(vector_eligible(plan) for plan in plans)
-    vec = run_trials(plans, vectorize=True)
-    obj = run_trials(plans, vectorize=False)
+    vec = run_trials(plans, ExecutionPolicy(vectorize=True))
+    obj = run_trials(plans, ExecutionPolicy(vectorize=False))
     assert vec == obj
     expected = (
         values[N - 1] if explicit_values else (N - 1) % 2
@@ -174,8 +175,8 @@ def test_mixed_protocol_sweep_one_call():
             seed=6,
         ),
     ]
-    assert run_trials(plans, vectorize=True) == run_trials(
-        plans, vectorize=False
+    assert run_trials(plans, ExecutionPolicy(vectorize=True)) == run_trials(
+        plans, ExecutionPolicy(vectorize=False)
     )
 
 
@@ -193,7 +194,7 @@ def test_combined_stack_protocols_stay_on_object_path():
     assert vector_eligible(plan)
     assert not vector_eligible(combined)
     with pytest.raises(ValueError, match="not columnar-eligible"):
-        run_trials([combined], vectorize=True)
+        run_trials([combined], ExecutionPolicy(vectorize=True))
 
 
 # -- trace-level equivalence ------------------------------------------------

@@ -148,7 +148,7 @@ class TestPolicyAndResultRoundTrip:
         "policy",
         [
             ExecutionPolicy(),
-            ExecutionPolicy(mode="sequential", workers=1),
+            ExecutionPolicy(vectorize=False, workers=1),
             ExecutionPolicy(workers=4, vectorize=True, native=False,
                             share_cache=False),
             ExecutionPolicy(native=True, native_threads=8),
