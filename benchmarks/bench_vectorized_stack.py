@@ -30,6 +30,14 @@ Two sweeps, two output files:
   (:mod:`repro.vectorized.protocols`) must keep every row bit-identical
   and beat the object engine >= 2.5x in aggregate.
 
+Every row carries a ``backend`` field naming what ran the columnar
+leg's slots: ``"native"`` when the compiled kernel (:mod:`repro.native`)
+is selected and the row is counters-only (protocol clients included,
+one slot per kernel call), ``"numpy"`` otherwise.
+``scripts/bench_compare.py`` warn-skips a speedup comparison across
+backends, so a host without a C compiler is not gated against a
+native-recorded baseline.
+
 Timings use ``time.process_time`` (single-core CPU seconds), best of
 ``rounds``, so a noisy CI neighbour cannot fake a regression or a win.
 """
@@ -43,6 +51,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import native
 from repro.analysis.harness import format_table
 from repro.core.decay import DecayConfig
 from repro.experiments import (
@@ -113,6 +122,15 @@ def make_plans(record_physical: bool) -> list[TrialPlan]:
     return seeded_plans(base, spawn_trial_seeds(SEEDS, seed=7))
 
 
+def columnar_backend(record_physical: bool) -> str:
+    """The backend the columnar leg's slots run on: the C kernel takes
+    counters-only batches whenever it is selected; physical tracing
+    always runs the numpy step."""
+    if native.resolve_backend() and not record_physical:
+        return "native"
+    return "numpy"
+
+
 def time_mode(plans, vectorize: bool, rounds: int):
     """Best-of-``rounds`` single-core timing of one executor."""
     best = None
@@ -141,6 +159,7 @@ def run_comparison(rounds: int = ROUNDS) -> dict:
         rows.append(
             {
                 "record_physical": record_physical,
+                "backend": columnar_backend(record_physical),
                 "object_seconds": round(obj_time, 3),
                 "vector_seconds": round(vec_time, 3),
                 "speedup": round(obj_time / vec_time, 2),
@@ -288,6 +307,7 @@ def run_protocol_comparison(rounds: int = 1) -> dict:
         rows.append(
             {
                 "workload": name,
+                "backend": columnar_backend(record_physical=False),
                 "n": vec[0].n,
                 "seeds": len(plans),
                 "object_seconds": round(obj_time, 3),

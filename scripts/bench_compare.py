@@ -23,8 +23,9 @@ invocations).  Only rows present on *both* sides gate the build — a row
 that vanishes from an otherwise-recorded file still fails.
 
 Rows may carry a ``backend`` field naming what produced the measured
-ratio (``BENCH_native.json`` records ``"native"`` when the compiled
-kernel ran, ``"numpy"`` under the fallback).  When baseline and fresh
+ratio (``BENCH_native.json``, ``BENCH_vectorized.json`` and
+``BENCH_protocols.json`` record ``"native"`` when the compiled kernel
+ran, ``"numpy"`` under the fallback).  When baseline and fresh
 row disagree on the backend, the speedup comparison is apples to
 oranges — a machine without the extension would otherwise hard-fail
 against a native-recorded baseline — so such pairs warn-skip instead

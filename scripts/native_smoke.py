@@ -3,12 +3,15 @@
 
 The ThreadSanitizer leg of the CI matrix needs a short, deterministic
 workload that actually exercises the code the sanitizer instruments —
-the pthread pool partitioning the trials axis and the CSR decode
-branch — without dragging the whole pytest session under TSan's ~10x
-slowdown.  This script runs one dense Decay sweep and one sparse-exact
-Decay sweep at ``--threads`` and asserts both dataclass-equal to the
-single-thread run; any data race the sanitizer spots fails the process
-via TSan's own exit code.
+the pthread pool partitioning the trials axis, the CSR decode branch
+and the one-slot-per-call adapter path — without dragging the whole
+pytest session under TSan's ~10x slowdown.  This script runs one dense
+Decay sweep, one sparse-exact Decay sweep and one consensus sweep
+(protocol clients attached: every slot is a kernel call whose pool is
+created and joined around Python's busy / awake / seen / tx_mid writes
+and ``kernel.reset``) at ``--threads`` and asserts each dataclass-equal
+to the single-thread run; any data race the sanitizer spots fails the
+process via TSan's own exit code.
 
 Run as ``python scripts/native_smoke.py --threads 4`` (with
 ``LD_PRELOAD=$(gcc -print-file-name=libtsan.so)`` when the kernel was
@@ -40,16 +43,22 @@ N = 64
 RADIUS = 14.0
 TRIALS = 8
 SLOTS = 300
+WAVES = 2
 
 
-def _plans(sparse: bool) -> list[TrialPlan]:
+def _plans(sparse: bool, workload: str = "fixed_slots") -> list[TrialPlan]:
+    options = (
+        TrialPlan.pack_options(waves=WAVES)
+        if workload == "consensus"
+        else TrialPlan.pack_options(slots=SLOTS)
+    )
     base = TrialPlan(
         deployment=DeploymentSpec.of(
             "uniform_disk", n=N, radius=RADIUS, seed=33
         ),
         stack="decay",
-        workload="fixed_slots",
-        options=TrialPlan.pack_options(slots=SLOTS),
+        workload=workload,
+        options=options,
         label="native-smoke",
         record_physical=False,
     )
@@ -75,8 +84,13 @@ def main() -> int:
         print("native-smoke: kernel not built (run `make native`)")
         return 1
 
-    for label, sparse in (("dense", False), ("sparse-exact", True)):
-        plans = _plans(sparse)
+    legs = (
+        ("dense", False, "fixed_slots"),
+        ("sparse-exact", True, "fixed_slots"),
+        ("consensus", False, "consensus"),
+    )
+    for label, sparse, workload in legs:
+        plans = _plans(sparse, workload)
         one = run_trials(
             plans, ExecutionPolicy(native=True, native_threads=1)
         )
@@ -93,8 +107,9 @@ def main() -> int:
         if not all(result.transmissions > 0 for result in many):
             print(f"native-smoke: {label} sweep did no work")
             return 1
+        slots = max(result.slots for result in many)
         print(
-            f"native-smoke: {label} ok — {TRIALS} trials x {SLOTS} "
+            f"native-smoke: {label} ok — {TRIALS} trials x {slots} "
             f"slots bit-identical at 1 vs {args.threads} threads"
         )
     return 0

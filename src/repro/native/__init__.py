@@ -9,7 +9,10 @@ reduce, decode, dedup, kernel state step — into one C loop
 call, **bit-identical** to the numpy path and the object runtime (the
 RNG-stream contract is untouched: the C kernel reads the very same
 :class:`~repro.simulation.rng.NodeUniformBuffer` storage the numpy path
-gathers from, consuming the same draws per node per slot).
+gathers from, consuming the same draws per node per slot).  Batches
+with protocol clients (BSMB / BMMB / consensus) run one slot per call:
+each slot's ack / wake / rcv events replay through the clients, whose
+rebroadcasts then shape the next slot.
 
 Backend selection
 -----------------
@@ -46,11 +49,15 @@ __all__ = [
     "EV_ACK",
     "EV_WAKE",
     "EV_RCV",
+    "EV_COLS",
 ]
 
+# Event-row codes and width of the C event sink: each row is
+# [trial, slot, code, node, mid, sender]; only rcv rows carry a sender.
 EV_ACK = 0
 EV_WAKE = 1
 EV_RCV = 2
+EV_COLS = 6
 
 # Return codes of repro_advance_slots beyond "slots completed".
 ERR_BETA_VIOLATION = -2

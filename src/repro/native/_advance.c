@@ -5,7 +5,10 @@
  * transmit decision from the pre-drawn NodeUniformBuffer uniforms, gain
  * gather (dense rows or CSR-pruned candidate lists), SINR reduce,
  * decode, dedup and kernel state step in one C loop, with no Python
- * dispatch between slots.
+ * dispatch between slots.  Batches with protocol clients attached set
+ * targets one slot ahead: the Python shim replays each slot's events
+ * through the clients (whose rebroadcasts write busy / awake / seen /
+ * tx_mid and the kernel columns) before the next call.
  *
  * Bit-identity contract (the whole point — see the "Native kernels"
  * section of docs/architecture.md):
@@ -110,9 +113,10 @@ typedef struct {
     long *tx_totals;   /* Channel.total_transmissions increments */
     long *rx_totals;   /* Channel.total_receptions increments */
     /* event sink: nthreads segments of ev_seg rows of
-     * [trial, slot, code, node, mid]; segment order is thread order,
-     * i.e. ascending trial ranges, so a segment-order drain preserves
-     * per-trial event order for any thread count. */
+     * [trial, slot, code, node, mid, sender] (sender: the decoded
+     * transmitter, written on rcv rows only); segment order is
+     * thread order, i.e. ascending trial ranges, so a segment-order
+     * drain preserves per-trial event order for any thread count. */
     long *events;
     long ev_seg;  /* rows per thread segment */
     long *ev_lens; /* (nthreads,) rows used per segment (out) */
@@ -131,6 +135,7 @@ typedef struct {
 } repro_state;
 
 enum { EV_ACK = 0, EV_WAKE = 1, EV_RCV = 2 };
+enum { EV_COLS = 6 }; /* columns per event row */
 
 /* One thread's working set: its trial range, its event segment and its
  * scratch block.  Everything it may write is disjoint from every other
@@ -152,15 +157,21 @@ typedef struct {
     unsigned char *sc_candflag;
 } worker_slot;
 
-static void emit(worker_slot *w, long t, long slot, long code, long node,
-                 long mid) {
-    long *row = w->events + *w->ev_len * 5;
+/* Append one event row and return it; only an rcv row fills column 5
+ * (its sender).  Writing -1 there on ack and wake rows too shifted the
+ * hot SINR loops below by 16 bytes under gcc 12 -O3, and the kernel ran
+ * ~10% slower on a 2-core Xeon host (loop alignment), so those rows
+ * leave it unset. */
+static long *emit(worker_slot *w, long t, long slot, long code, long node,
+                  long mid) {
+    long *row = w->events + *w->ev_len * EV_COLS;
     row[0] = t;
     row[1] = slot;
     row[2] = code;
     row[3] = node;
     row[4] = mid;
     *w->ev_len += 1;
+    return row;
 }
 
 /* Advance the trials of one worker slot toward their targets, stopping
@@ -385,7 +396,7 @@ static void advance_range(worker_slot *w) {
                     st->seen + (size_t)(base + u) * (size_t)n + (size_t)s;
                 if (!*cell_seen) {
                     *cell_seen = 1;
-                    emit(w, t, slot, EV_RCV, u, st->tx_mid[base + s]);
+                    emit(w, t, slot, EV_RCV, u, st->tx_mid[base + s])[5] = s;
                 }
             }
             if (st->kind == 1) {
@@ -410,7 +421,7 @@ static void fill_slot(repro_state *st, worker_slot *w, long th, long t0,
     w->st = st;
     w->t0 = t0;
     w->t1 = t1;
-    w->events = st->events + th * st->ev_seg * 5;
+    w->events = st->events + th * st->ev_seg * EV_COLS;
     w->ev_len = st->ev_lens + th;
     w->sc_tx = st->sc_tx + th * n;
     w->sc_tot = st->sc_tot + th * n;

@@ -13,18 +13,27 @@ event sink and per-thread scratch blocks once, and on every call
    ``repro_advance_slots`` by pointer — the C kernel mutates the very
    arrays the numpy path reads, so the two backends can interleave
    slot by slot without any copying or divergence,
-3. drains each thread's event segment (segment order is ascending
+3. collects each thread's event segment (segment order is ascending
    trial-range order, so per-trial event order is thread-count
-   invariant) into the per-trial
-   :class:`~repro.simulation.trace.EventTrace` objects, folds the
-   counter accumulators into each trial's channel, detaches acked
-   messages, and refills exhausted uniform lanes whole-chunk exactly
-   as ``NodeUniformBuffer.take`` would before re-entering C.
+   invariant), refills exhausted uniform lanes whole-chunk exactly as
+   ``NodeUniformBuffer.take`` would before re-entering C, and folds the
+   counter accumulators into each trial's channel.
+
+Adapter-free batches run the whole stride in as few calls as the event
+sink allows and drain the events straight into the per-trial
+:class:`~repro.simulation.trace.EventTrace` objects.  With a protocol
+adapter attached (BSMB / BMMB / consensus clients), client reactions
+may start broadcasts between any two slots, so the kernel runs one slot
+per call and the slot's events replay through the runtime's own slot
+phases before the next call, in the numpy step's order: acks and
+``on_ack`` (rebroadcasts staged), wakes and ``on_wake``, rcvs and
+``on_rcv`` (each rcv row carries its decoded sender), then the end of
+slot (acked detach, staged attach, ``flush``, slot counters).
 
 The stepper never runs unless the runtime's eligibility probe passed
-(counters-only, adapter-free, adversary-free, deterministic physics —
-dense, or sparse-exact over one shared resolver — no churn mask); every
-other slot shape falls back to the numpy step, transparently, in
+(counters-only, adversary-free, deterministic physics — dense, or
+sparse-exact over one shared resolver — no churn mask); every other
+slot shape falls back to the numpy step, transparently, in
 ``VectorRuntime.advance_slots``.
 """
 
@@ -37,6 +46,7 @@ import numpy as np
 from repro.native import (
     ERR_BETA_VIOLATION,
     EV_ACK,
+    EV_COLS,
     EV_RCV,
     EV_WAKE,
     NativeState,
@@ -118,7 +128,7 @@ class NativeStepper:
             (max(6 * trials * n, 1 << 14) + self._nthreads - 1)
             // self._nthreads,
         )
-        self._events = np.empty((self._nthreads * self._ev_seg, 5),
+        self._events = np.empty((self._nthreads * self._ev_seg, EV_COLS),
                                 dtype=np.int64)
         self._ev_lens = np.zeros(self._nthreads, dtype=np.int64)
 
@@ -169,7 +179,8 @@ class NativeStepper:
         self._state = state
 
     def advance(self, k: int, rows: list[int]) -> int:
-        """Advance ``rows`` by up to ``k`` native slots; return count.
+        """Advance ``rows`` (non-empty) by up to ``k`` native slots;
+        return the count.
 
         The stride is capped at the tightest per-trial slot budget so
         the numpy path's budget ``RuntimeError`` still fires on the
@@ -183,20 +194,37 @@ class NativeStepper:
         k = min(int(k), int(budget))
         if k <= 0:
             return 0
-        state = self._state
         self._live[:] = 0
         self._live[rows] = 1
-        self._trial_slots[:] = runtime.slots
         self._slot_counts[:] = 0
         self._tx_totals[:] = 0
         self._rx_totals[:] = 0
         row_idx = np.asarray(rows, dtype=np.intp)
+        if runtime.adapter is None:
+            self._run(row_idx, k, self._drain_events)
+            slots = self._trial_slots.tolist()
+            for t in rows:
+                runtime.slots[t] = slots[t]
+        else:
+            for _ in range(k):
+                self._replay(self._slot_events(row_idx), rows)
+        self._sync_counters(rows)
+        return k
+
+    def _run(self, row_idx: np.ndarray, k: int, sink) -> None:
+        """Run the kernel until ``row_idx`` stand ``k`` slots further on.
+
+        Each call's event segments go to ``sink`` (thread order) before
+        the next call overwrites them.  A call returns early when a
+        stepping lane runs out of uniforms or a thread's segment fills;
+        the loop refills and re-enters.
+        """
+        self._trial_slots[:] = self._runtime.slots
         self._trial_target[:] = self._trial_slots
         self._trial_target[row_idx] += k
-
         while True:
             before = self._trial_slots[row_idx].sum()
-            rc = int(self._lib.repro_advance_slots(ctypes.byref(state)))
+            rc = int(self._lib.repro_advance_slots(ctypes.byref(self._state)))
             if rc < 0:
                 if rc == ERR_BETA_VIOLATION:
                     raise RuntimeError(
@@ -206,19 +234,24 @@ class NativeStepper:
                 raise RuntimeError(
                     f"native kernel failed with code {rc}"
                 )  # pragma: no cover - no other codes exist
-            self._drain_events()
+            seg = self._ev_seg
+            sink(
+                [
+                    self._events[th * seg : th * seg + count]
+                    for th, count in enumerate(self._ev_lens.tolist())
+                    if count
+                ]
+            )
             pending = self._trial_slots[row_idx] < self._trial_target[row_idx]
             if not pending.any():
-                break
+                return
             progressed = self._trial_slots[row_idx].sum() > before
             if not self._refill_uniforms() and not progressed:
                 raise RuntimeError(
                     "native kernel made no progress"
                 )  # pragma: no cover - defensive
-        self._sync_counters(rows)
-        return k
 
-    def _drain_events(self) -> None:
+    def _drain_events(self, segments: list[np.ndarray]) -> None:
         """Append the C event records to the per-trial traces.
 
         Segments drain in thread order — ascending contiguous trial
@@ -232,19 +265,51 @@ class NativeStepper:
         traces = runtime.traces
         current = runtime._current
         make = TraceEvent._make
-        seg = self._ev_seg
-        for th, count in enumerate(self._ev_lens.tolist()):
-            if not count:
-                continue
-            base = th * seg
-            for trial, slot, code, node, mid in self._events[
-                base : base + count
-            ].tolist():
+        for segment in segments:
+            for trial, slot, code, node, mid, _sender in segment.tolist():
                 kind = _EVENT_KINDS[code]
                 data = None if code == EV_WAKE else mid
                 traces[trial].events.append(make((slot, kind, node, data)))
                 if code == EV_ACK:
                     current[trial][node] = None
+
+    def _slot_events(self, row_idx: np.ndarray) -> np.ndarray:
+        """Run one slot of ``row_idx``; its event rows in trial order.
+
+        A trial parked for a uniform refill finishes the slot in a
+        later call (each trial's slot is whole within one call), so the
+        calls' rows are copied and stably sorted by trial.
+        """
+        parts: list[np.ndarray] = []
+
+        def keep(segments: list[np.ndarray]) -> None:
+            parts.extend(segment.copy() for segment in segments)
+
+        self._run(row_idx, 1, keep)
+        if not parts:
+            return self._events[:0]
+        events = np.concatenate(parts)
+        return events[np.argsort(events[:, 0], kind="stable")]
+
+    def _replay(self, events: np.ndarray, rows: list[int]) -> None:
+        """Finish one slot the C kernel ran, through the runtime's slot
+        phases in the numpy step's order (acks and their reactions,
+        wakes, rcvs, end of slot)."""
+        runtime = self._runtime
+        n = runtime.n
+        codes = events[:, 2]
+        cells = events[:, 0] * n + events[:, 3]
+        woken = cells[codes == EV_WAKE]
+        # The numpy step decides wakeups after the ack reactions (a
+        # rebroadcast may wake a cell first): hand the cells C woke
+        # back asleep and let the wake phase redo it.
+        runtime._awake[woken] = False
+        acked = runtime._ack_phase(cells[codes == EV_ACK])
+        runtime._wake_phase(woken)
+        rcv = events[codes == EV_RCV]
+        base = rcv[:, 0] * n
+        runtime._rcv_phase(base + rcv[:, 3], base + rcv[:, 5], rcv[:, 4])
+        runtime._end_slot(rows, acked)
 
     def _refill_uniforms(self) -> bool:
         """Refill exhausted lanes that will step next slot; True if any.
@@ -265,14 +330,12 @@ class NativeStepper:
         return True
 
     def _sync_counters(self, rows: list[int]) -> None:
-        """Fold the per-trial accumulators back into Python state."""
+        """Fold the per-trial channel accumulators into the channels."""
         runtime = self._runtime
-        slots = self._trial_slots.tolist()
         slot_counts = self._slot_counts.tolist()
         tx_totals = self._tx_totals.tolist()
         rx_totals = self._rx_totals.tolist()
         for t in rows:
-            runtime.slots[t] = slots[t]
             channel = runtime.channels[t]
             channel._slot_count += slot_counts[t]
             channel.total_transmissions += tx_totals[t]

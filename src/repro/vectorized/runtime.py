@@ -94,11 +94,13 @@ class VectorRuntime:
         (default) defers to the ``REPRO_NATIVE`` environment variable
         and otherwise auto-selects whatever is available.  Either way
         every slot shape the C kernel does not cover (tracing, fading,
-        churn, adversaries, adapters, approximate-sparse physics)
-        transparently runs the numpy step — the backends produce
-        bit-identical results, so this is purely a speed knob.
-        Sparse-*exact* batches over one shared resolver ride the fused
-        CSR decode path.
+        churn, adversaries, approximate-sparse physics) transparently
+        runs the numpy step — the backends produce bit-identical
+        results, so this is purely a speed knob.  Sparse-*exact*
+        batches over one shared resolver ride the fused CSR decode
+        path; batches with a protocol adapter attached ride the kernel
+        one slot per call, their client reactions replayed between
+        slots.
     native_threads:
         Kernel threads partitioning the trials axis inside the C loop
         (``None`` defers to ``REPRO_NATIVE_THREADS``, default 1).
@@ -444,30 +446,7 @@ class VectorRuntime:
                         make((slot, "transmit", node, current[node]))
                     )
 
-        # Acknowledgments fire in the same slot the budget runs out,
-        # with the final transmission still on the air; the message
-        # stays attached until after delivery so this slot's receptions
-        # of it still resolve their payload (the object path snapshots
-        # payloads into the transmissions dict for the same reason).
-        acked: list[tuple[int, int, BcastMessage]] = []
-        if ack_cells.size:
-            ack_trial = ack_cells // n
-            ack_node = ack_cells - ack_trial * n
-            self._busy[ack_cells] = False
-            for t, node in zip(ack_trial.tolist(), ack_node.tolist()):
-                message = self._current[t][node]
-                acked.append((t, node, message))
-                self.traces[t].record(self.slots[t], "ack", node, message.mid)
-            if self.adapter is not None:
-                # Client reactions to the acks (queue pumps, next waves)
-                # run now, in ascending cell order like the object
-                # runtime's phase-1 node loop; any rebroadcast they
-                # request stages its message swap until after delivery.
-                self._in_phase1 = True
-                try:
-                    self.adapter.on_ack(ack_cells)
-                finally:
-                    self._in_phase1 = False
+        acked = self._ack_phase(ack_cells)
 
         # One flat SINR reduction for the whole batch.  Under an active
         # channel model each trial contributes its own effective-power
@@ -550,15 +529,7 @@ class VectorRuntime:
             # flat hit arrays and only the per-reception trace/dedup
             # work stays in Python.
             hit_cells = hit_trial * n + hit_listener
-            woken = hit_cells[~self._awake[hit_cells]]
-            if woken.size:
-                self._awake[woken] = True
-                wk_trial = woken // n
-                wk_node = woken - wk_trial * n
-                for t, node in zip(wk_trial.tolist(), wk_node.tolist()):
-                    self.traces[t].record(self.slots[t], "wake", node)
-                if self.adapter is not None:
-                    self.adapter.on_wake(woken)
+            self._wake_phase(hit_cells)
             feedback = (
                 hit_cells[feedback_ok[hit_cells]]
                 if feedback_ok is not None
@@ -577,23 +548,12 @@ class VectorRuntime:
                     channel.total_receptions += int(hi - lo)
                 fresh = ~self._seen[hit_cells, hit_sender]
                 fr_cells = hit_cells[fresh]
-                if fr_cells.size:
-                    fr_sender = hit_sender[fresh]
-                    self._seen[fr_cells, fr_sender] = True
-                    fr_trial = fr_cells // n
-                    fr_node = fr_cells - fr_trial * n
-                    fr_sender_cells = fr_trial * n + fr_sender
-                    mids = self._tx_mid[fr_sender_cells]
-                    slots = self.slots
-                    traces = self.traces
-                    for t, listener, mid in zip(
-                        fr_trial.tolist(), fr_node.tolist(), mids.tolist()
-                    ):
-                        traces[t].events.append(
-                            make((slots[t], "rcv", listener, mid))
-                        )
-                    if adapter is not None:
-                        adapter.on_rcv(fr_cells, fr_sender_cells)
+                fr_sender = hit_sender[fresh]
+                self._seen[fr_cells, fr_sender] = True
+                fr_sender_cells = fr_cells - fr_cells % n + fr_sender
+                self._rcv_phase(
+                    fr_cells, fr_sender_cells, self._tx_mid[fr_sender_cells]
+                )
             else:
                 rcv_cells: list[int] = []
                 rcv_senders: list[int] = []
@@ -641,11 +601,92 @@ class VectorRuntime:
             if feedback is not None and feedback.size:
                 self.kernel.notify(feedback)
 
-        # Acked broadcasts detach only now (see the ack comment above);
-        # staged rebroadcasts swap in afterwards — a cell may ack and
-        # rebroadcast within one slot.  Detach only the message that
-        # was acked: a reception during this very slot may already have
-        # started the cell's next broadcast (direct write).
+        self._end_slot(rows, acked)
+
+    # -- slot phases shared with the native replay -------------------------
+    #
+    # The numpy step above and the native stepper's per-slot replay
+    # (adapter batches, repro.native.stepper) both run a slot's MAC
+    # events through these four phases in this order, so the staging
+    # rules live in one place.
+
+    def _ack_phase(self, cells: np.ndarray) -> list[tuple[int, int, BcastMessage]]:
+        """Acknowledge the ascending ``cells`` whose broadcasts ended.
+
+        Acks fire in the slot the budget runs out, with the final
+        transmission still on the air: the messages stay attached until
+        :meth:`_end_slot`, so this slot's receptions of them still
+        resolve their payload (the object path snapshots payloads into
+        the transmissions dict for the same reason).  Client reactions
+        (queue pumps, next waves) run now, in ascending cell order like
+        the object runtime's phase-1 node loop; any rebroadcast they
+        request stages its message swap until after delivery.  Returns
+        the acked ``(trial, node, message)`` triples.
+        """
+        if not cells.size:
+            return []
+        n = self._n
+        self._busy[cells] = False
+        trials = cells // n
+        acked = []
+        for t, node in zip(trials.tolist(), (cells - trials * n).tolist()):
+            message = self._current[t][node]
+            acked.append((t, node, message))
+            self.traces[t].record(self.slots[t], "ack", node, message.mid)
+        if self.adapter is not None:
+            self._in_phase1 = True
+            try:
+                self.adapter.on_ack(cells)
+            finally:
+                self._in_phase1 = False
+        return acked
+
+    def _wake_phase(self, cells: np.ndarray) -> None:
+        """Conditional wakeup (Definition 4.4): the sleeping cells among
+        this slot's decoding listeners wake, in delivery order, and the
+        adapter hears of them."""
+        woken = cells[~self._awake[cells]]
+        if not woken.size:
+            return
+        self._awake[woken] = True
+        n = self._n
+        trials = woken // n
+        for t, node in zip(trials.tolist(), (woken - trials * n).tolist()):
+            self.traces[t].record(self.slots[t], "wake", node)
+        if self.adapter is not None:
+            self.adapter.on_wake(woken)
+
+    def _rcv_phase(
+        self, cells: np.ndarray, sender_cells: np.ndarray, mids: np.ndarray
+    ) -> None:
+        """Trace this slot's first deliveries (delivery order) as rcv
+        events and hand them to the adapter."""
+        if not cells.size:
+            return
+        n = self._n
+        trials = cells // n
+        make = TraceEvent._make  # tuple.__new__, ~4x cheaper per event
+        slots = self.slots
+        traces = self.traces
+        for t, node, mid in zip(
+            trials.tolist(), (cells - trials * n).tolist(), mids.tolist()
+        ):
+            traces[t].events.append(make((slots[t], "rcv", node, mid)))
+        if self.adapter is not None:
+            self.adapter.on_rcv(cells, sender_cells)
+
+    def _end_slot(
+        self, rows: Sequence[int], acked: list[tuple[int, int, BcastMessage]]
+    ) -> None:
+        """Close the slot of ``rows``.
+
+        Acked broadcasts detach only now (see :meth:`_ack_phase`), then
+        staged rebroadcasts swap in — a cell may ack and rebroadcast
+        within one slot — and the adapter applies its staged
+        transmit-side columns.  Only the acked message detaches: a
+        reception during this very slot may already have started the
+        cell's next broadcast (direct write).
+        """
         for t, node, message in acked:
             if self._current[t][node] is message:
                 self._current[t][node] = None
@@ -693,18 +734,9 @@ class VectorRuntime:
             # Conditional wakeups first (surviving receptions, delivery
             # order), then the rcv processing — per-kind streams match
             # the object runtime's per-listener interleave.
-            woken = [
-                base + listener
-                for listener in outcome.receptions
-                if not self._awake[base + listener]
-            ]
-            if woken:
-                woken_arr = np.asarray(woken, dtype=np.intp)
-                self._awake[woken_arr] = True
-                for cell in woken:
-                    trace.record(slot, "wake", cell - base)
-                if adapter is not None:
-                    adapter.on_wake(woken_arr)
+            self._wake_phase(
+                np.fromiter(outcome.receptions, dtype=np.intp) + base
+            )
             rcv_cells: list[int] = []
             rcv_senders: list[int] = []
             for listener, (sender, payload) in outcome.receptions.items():
@@ -737,16 +769,16 @@ class VectorRuntime:
 
         The compiled loop covers exactly the counters-only deterministic
         fast path — dense physics, or sparse-exact over one shared
-        resolver (the CSR decode path): everything else — physical
+        resolver (the CSR decode path), with or without a protocol
+        adapter (one slot per kernel call, see
+        :mod:`repro.native.stepper`): everything else — physical
         tracing, adversaries, approximate-sparse / stochastic / dynamic
-        physics, churn masks, attached adapters, kernels without native
-        columns — takes the numpy step.  Checked per stride because
-        eligibility can change mid-batch (e.g. an adapter attaching,
-        churn starting).
+        physics, churn masks, kernels without native columns — takes
+        the numpy step.  Checked per stride because eligibility can
+        change mid-batch (e.g. churn starting).
         """
         return (
             self._use_native
-            and self.adapter is None
             and not self._has_adversary
             and (not self._sparse or self._sparse_native_ok)
             and not self._stochastic
@@ -774,14 +806,16 @@ class VectorRuntime:
         """Advance the given trials (default: all) by ``k`` slots.
 
         The multi-slot form of :meth:`advance`: eligible stretches run
-        through the fused native kernel in one call, everything else
-        falls back to the per-slot numpy step — slot for slot the two
-        backends produce identical state, so mixing them inside one
-        stride is safe.
+        through the fused native kernel, everything else falls back to
+        the per-slot numpy step — slot for slot the two backends
+        produce identical state, so mixing them inside one stride is
+        safe.  An empty ``rows`` advances nothing on either backend.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
         rows = list(range(self.trials)) if rows is None else list(rows)
+        if not rows:
+            return
         remaining = int(k)
         while remaining > 0:
             if self._native_ok():

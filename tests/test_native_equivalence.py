@@ -10,11 +10,15 @@ now the compiled kernel — and every one of them must produce the same
   {synchronous, staggered wakeup}: ``run_trials(native=True)`` must be
   dataclass-equal to the pure-numpy reference (``native=False``) and
   the object runtime (``vectorize=False``);
+* **protocol clients** — counters-only {smb, mmb, consensus} ×
+  {Decay, Ack} × {1, 8 trials} × {dense, sparse-exact} (plus two
+  kernel threads on the 8-trial cells) ride the kernel one slot per
+  call with the client reactions replayed between slots: results equal
+  the numpy step's and every trial's full event trace matches it in
+  order, intra-slot ``bcast`` / ``decide`` positions included;
 * **golden replay** — the committed ``tests/golden/*.json`` fixtures
-  re-run with ``REPRO_NATIVE=1``: the golden sweep rides adapter
-  workloads (smb, consensus), so this is the *fallback transparency*
-  contract — demanding the native backend on work it cannot fuse must
-  degrade to the numpy step per slot without moving a single bit;
+  (smb and consensus, counters-only) re-run with ``REPRO_NATIVE=1``
+  must reproduce bit for bit with every slot advanced in C;
 * **selection** — ``REPRO_NATIVE=0`` forces the fallback
   (``native_slots`` stays 0), ``native=True`` without a built kernel
   fails loudly, and the auto mode picks whatever :func:`available`
@@ -30,8 +34,10 @@ suite stays green, the CI ``native`` job proves the compiled side.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +52,7 @@ from repro.experiments import (
     seeded_plans,
 )
 from repro.experiments.cache import deployment_artifacts, resolve_deployment
+from repro.native.stepper import NativeStepper
 from repro.simulation.rng import (
     NodeUniformBuffer,
     spawn_node_rngs,
@@ -53,7 +60,13 @@ from repro.simulation.rng import (
 )
 from repro.sinr.channel import Channel
 from repro.sinr.params import SparseResolution
-from repro.vectorized import DecayKernel, VectorRuntime
+from repro.vectorized import (
+    ConsensusClients,
+    DecayKernel,
+    VectorMacAdapter,
+    VectorRuntime,
+)
+from repro.vectorized import engine as vector_engine
 
 from test_golden_results import _fixture_path, golden_plans, serialize
 
@@ -243,7 +256,6 @@ def test_resolve_threads_decision_table(monkeypatch):
 # can never silently lag the probe.
 NATIVE_ELIGIBILITY_CASES = [
     ("_use_native", lambda rt: setattr(rt, "_use_native", False), False),
-    ("adapter", lambda rt: setattr(rt, "adapter", object()), False),
     ("_has_adversary", lambda rt: setattr(rt, "_has_adversary", True), False),
     # sparse physics is ineligible unless the batch qualified for the
     # CSR decode path (exact mode, one shared resolver)...
@@ -298,20 +310,131 @@ def test_native_eligibility_decision_table(attr, trip, expected):
     assert runtime._native_ok() is expected
 
 
-# -- golden-fixture replay (fallback transparency) --------------------------
+@needs_native
+def test_adapter_batches_run_every_slot_in_c():
+    """An attached protocol adapter stays inside the fusion boundary:
+    consensus clients (wake-started waves, ack-driven rebroadcasts,
+    decide events) advance every slot in C."""
+    runtime = _direct_runtime(native=True, broadcast=False)
+    adapter = VectorMacAdapter(runtime)
+    clients = ConsensusClients(
+        adapter, waves=[3], values=[[i % 2 for i in range(N)]]
+    )
+    adapter.install(clients)
+    clients.start(0)
+    assert runtime._native_ok()
+    runtime.run_until(lambda rt: clients.done(0), check_every=8)
+    assert runtime.native_slots == runtime.slots[0] > 0
+    assert (clients.decision >= 0).all()
+
+
+# -- protocol clients on the fused path --------------------------------------
+
+PROTOCOL_OPTIONS = {
+    "smb": TrialPlan.pack_options(source=0),
+    "mmb": TrialPlan.pack_options(
+        arrivals=((0, ("m0", "m1")), (7, ("m2",)))
+    ),
+    "consensus": TrialPlan.pack_options(waves=2),
+}
+
+
+def _protocol_plans(workload, stack, trials, physics):
+    kwargs = {"record_physical": False, "options": PROTOCOL_OPTIONS[workload]}
+    if physics == "sparse-exact":
+        kwargs["params"] = sparse_exact_params()
+    return make_plans(stack, trials, None, workload=workload, **kwargs)
+
+
+def _run_traced(plans, policy):
+    """``run_trials(plans, policy)`` plus what it looked like inside:
+    every trial's full event list, the adapter callbacks in call order
+    (cells as lists) and the native slot count of each VectorRuntime
+    the run built."""
+    runtimes = []
+    callbacks = []
+    real = vector_engine.VectorRuntime
+
+    def build(*args, **kwargs):
+        runtimes.append(real(*args, **kwargs))
+        return runtimes[-1]
+
+    def logged(name):
+        method = getattr(VectorMacAdapter, name)
+
+        def log(self, *cells):
+            callbacks.append((name, *(c.tolist() for c in cells)))
+            return method(self, *cells)
+
+        return log
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(vector_engine, "VectorRuntime", build)
+        )
+        for name in ("on_ack", "on_wake", "on_rcv"):
+            stack.enter_context(
+                mock.patch.object(VectorMacAdapter, name, logged(name))
+            )
+        results = run_trials(plans, policy)
+    traces = [list(trace) for runtime in runtimes for trace in runtime.traces]
+    native_slots = [runtime.native_slots for runtime in runtimes]
+    return results, traces, callbacks, native_slots
+
+
+@needs_native
+@pytest.mark.parametrize("physics", ["dense", "sparse-exact"])
+@pytest.mark.parametrize("trials", [1, 8])
+@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("workload", sorted(PROTOCOL_OPTIONS))
+def test_protocol_clients_native_equal_numpy(workload, stack, trials, physics):
+    """Counters-only protocol batches on the kernel, at one thread and
+    (8 trials) two: results equal the numpy step's, each trial's full
+    event trace is equal *in order* (TrialResult equality cannot see
+    where a relay's ``bcast`` or a ``decide`` lands inside a slot), the
+    clients hear the same callbacks with the same cell arrays (acks
+    ascending across trials), and the kernel really ran."""
+    plans = _protocol_plans(workload, stack, trials, physics)
+    ref, ref_traces, ref_callbacks, _ = _run_traced(
+        plans, ExecutionPolicy(native=False)
+    )
+    assert all(result.completion > 0 for result in ref)
+    for threads in (1, 2) if trials == 8 else (1,):
+        nat, nat_traces, nat_callbacks, native_slots = _run_traced(
+            plans, ExecutionPolicy(native=True, native_threads=threads)
+        )
+        assert nat == ref
+        assert nat_traces == ref_traces
+        assert nat_callbacks == ref_callbacks
+        assert native_slots and all(slots > 0 for slots in native_slots)
+    if physics == "dense":
+        assert ref == run_trials(plans, ExecutionPolicy(vectorize=False))
+
+
+# -- golden-fixture replay ---------------------------------------------------
 
 
 @needs_native
 @pytest.mark.parametrize("name", sorted(golden_plans()))
 def test_golden_fixtures_replay_under_forced_native(name, monkeypatch):
-    """REPRO_NATIVE=1 on the committed golden sweep: the adapter
-    workloads (smb, consensus) are outside the fusion boundary, so the
-    runtime must transparently take the numpy step yet reproduce the
-    committed fixtures bit for bit."""
+    """REPRO_NATIVE=1 on the committed golden sweep: the smb and
+    consensus fixtures are counters-only, so every slot of each batch
+    advances in C (client reactions replayed between slots) and the
+    committed fixtures reproduce bit for bit."""
     monkeypatch.setenv("REPRO_NATIVE", "1")
+    native_slots = []
+    advance = NativeStepper.advance
+
+    def counting(self, k, rows):
+        native_slots.append(advance(self, k, rows))
+        return native_slots[-1]
+
+    monkeypatch.setattr(NativeStepper, "advance", counting)
     expected = json.loads(_fixture_path(name).read_text(encoding="utf-8"))
-    actual = serialize(run_trials(golden_plans()[name]))
-    assert actual == expected
+    results = run_trials(golden_plans()[name])
+    assert serialize(results) == expected
+    # One batch per fixture: its slot count is the longest trial's.
+    assert sum(native_slots) == max(result.slots for result in results)
 
 
 # -- backend selection ------------------------------------------------------
@@ -322,6 +445,7 @@ def _direct_runtime(
     native: bool | None = None,
     sparse: bool = False,
     threads: int | None = None,
+    broadcast: bool = True,
 ):
     points = resolve_deployment(DEPLOYMENT)
     params = TrialPlan(deployment=DEPLOYMENT).params
@@ -347,9 +471,28 @@ def _direct_runtime(
         native=native,
         native_threads=threads,
     )
-    for node in range(N):
-        runtime.bcast(0, node, payload=f"m{node}")
+    if broadcast:
+        for node in range(N):
+            runtime.bcast(0, node, payload=f"m{node}")
     return runtime
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [pytest.param(True, marks=needs_native), False],
+    ids=["native", "numpy"],
+)
+def test_advance_slots_without_rows_is_a_no_op(backend):
+    """advance_slots(k, []) advances nothing on either backend; the
+    native stepper's slot budget is a min() over the rows and must
+    never see an empty list."""
+    runtime = _direct_runtime(native=backend)
+    before = list(runtime.traces[0])
+    runtime.advance_slots(3, [])
+    assert runtime.slots == [0]
+    assert runtime.native_slots == 0
+    assert runtime.channels[0].total_transmissions == 0
+    assert list(runtime.traces[0]) == before
 
 
 def test_env_zero_forces_numpy_fallback(monkeypatch):
