@@ -3,16 +3,17 @@
 The remaining hot-path cost after the columnar rewrite is per-slot
 Python dispatch: every slot of a counters-only sweep still pays ~20
 numpy calls and their temporaries.  This package fuses the whole slot —
-transmit decision from pre-drawn uniforms, dense gain gather, SINR
-reduce, decode, dedup, kernel state step — into one C loop
-(``_advance.c``) that advances the ``(trials, n)`` lattice k slots per
-call, **bit-identical** to the numpy path and the object runtime (the
-RNG-stream contract is untouched: the C kernel reads the very same
-:class:`~repro.simulation.rng.NodeUniformBuffer` storage the numpy path
-gathers from, consuming the same draws per node per slot).  Batches
-with protocol clients (BSMB / BMMB / consensus) run one slot per call:
-each slot's ack / wake / rcv events replay through the clients, whose
-rebroadcasts then shape the next slot.
+transmit decision, dense gain gather, SINR reduce, decode, dedup,
+kernel state step — into one C loop (``_advance.c``) that advances the
+``(trials, n)`` lattice k slots per call, **bit-identical** to the numpy
+path and the object runtime.  Each node draws from its own PCG64 state,
+which the kernel steps in place exactly as numpy's
+``Generator.random()`` does: the runtime reads every lane's state once
+from the generators :func:`~repro.simulation.rng.spawn_node_rngs`
+builds, so each node consumes the same stream, draw for draw, on every
+backend.  Batches with protocol clients (BSMB / BMMB / consensus) run
+one slot per call: each slot's ack / wake / rcv events replay through
+the clients, whose rebroadcasts then shape the next slot.
 
 Backend selection
 -----------------
@@ -46,6 +47,7 @@ __all__ = [
     "resolve_backend",
     "resolve_threads",
     "NativeState",
+    "MAX_THREADS",
     "EV_ACK",
     "EV_WAKE",
     "EV_RCV",
@@ -58,6 +60,10 @@ EV_ACK = 0
 EV_WAKE = 1
 EV_RCV = 2
 EV_COLS = 6
+
+# Most kernel threads one call runs (the MAX_THREADS enum in
+# _advance.c); the stepper clamps its thread count to it.
+MAX_THREADS = 64
 
 # Return codes of repro_advance_slots beyond "slots completed".
 ERR_BETA_VIOLATION = -2
@@ -82,9 +88,7 @@ class NativeState(ctypes.Structure):
         ("awake", ctypes.c_void_p),
         ("tx_mid", ctypes.c_void_p),
         ("seen", ctypes.c_void_p),
-        ("uni_buf", ctypes.c_void_p),
-        ("uni_cursor", ctypes.c_void_p),
-        ("chunk", ctypes.c_long),
+        ("pcg", ctypes.c_void_p),
         ("gains", ctypes.c_void_p),
         ("gain_stride", ctypes.c_long),
         ("noise", ctypes.c_double),

@@ -2,10 +2,10 @@
  *
  * One call advances the counters-only fast path of
  * repro.vectorized.runtime.VectorRuntime toward per-trial slot targets:
- * transmit decision from the pre-drawn NodeUniformBuffer uniforms, gain
- * gather (dense rows or CSR-pruned candidate lists), SINR reduce,
- * decode, dedup and kernel state step in one C loop, with no Python
- * dispatch between slots.  Batches with protocol clients attached set
+ * transmit decision from each node's own PCG64 generator, gain gather
+ * (dense rows or CSR-pruned candidate lists), SINR reduce, decode,
+ * dedup and kernel state step in one C loop, with no Python dispatch
+ * between slots.  Batches with protocol clients attached set
  * targets one slot ahead: the Python shim replays each slot's events
  * through the clients (whose rebroadcasts write busy / awake / seen /
  * tx_mid and the kernel columns) before the next call.
@@ -13,12 +13,10 @@
  * Bit-identity contract (the whole point — see the "Native kernels"
  * section of docs/architecture.md):
  *
- *  - Uniform consumption: each busy cell of a live trial consumes
- *    exactly one pre-drawn uniform per slot, read from the same
- *    (lane, cursor) position NodeUniformBuffer.take() would serve.
- *    When a stepping lane is exhausted the trial stops at the slot
- *    boundary so the Python shim can refill whole chunks exactly like
- *    take() does.
+ *  - Uniform consumption: each busy cell of a live trial draws exactly
+ *    one uniform per slot from its node's PCG64 state, which this file
+ *    steps in place (pcg64_random): the double numpy's
+ *    Generator.random() returns from the same state, bit for bit.
  *  - Decay probability: 2^-(j+1) is produced with ldexp (exact power
  *    of two, the value numpy's `2.0 ** -(j + 1.0)` yields).
  *  - Ack arithmetic: the same adds / multiplies / min-max clamps in
@@ -40,10 +38,10 @@
  *    Non-candidate listeners are provably undecodable (sinr/sparse.py),
  *    so pruning them changes no decode and no event.
  *
- * Trial-parallel threading: trials share nothing — each owns its RNG
- *  lanes, uniform-buffer rows, kernel-state columns, counters, dedup
- *  rows and event subsequence — so the trials axis is partitioned into
- *  contiguous ranges, one POSIX thread each.  Every thread writes its
+ * Trial-parallel threading: trials share nothing — each owns its PCG64
+ *  lanes, kernel-state columns, counters, dedup rows and event
+ *  subsequence — so the trials axis is partitioned into contiguous
+ *  ranges, one POSIX thread each.  Every thread writes its
  *  events into its own segment of the sink (ev_seg rows apiece) and its
  *  own (n,)-sized scratch block; the only shared mutable word is the
  *  atomic error flag.  Results are therefore independent of nthreads by
@@ -59,13 +57,14 @@
 #include <pthread.h>
 #include <stdatomic.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 typedef struct {
     /* lattice geometry and call bounds */
     long trials;
     long n;
-    long nthreads; /* thread count; Python clamps to [1, trials] */
+    long nthreads; /* Python clamps to [1, min(trials, MAX_THREADS)] */
     long kind;     /* 0 = decay, 1 = ack */
     long sparse;   /* 1 = CSR candidate decode, 0 = dense rows */
     /* per-trial absolute slot targets (trial_slots[t] advances to it) */
@@ -76,10 +75,9 @@ typedef struct {
     unsigned char *awake;
     long *tx_mid;
     unsigned char *seen; /* (trials*n, n) rcv dedup matrix */
-    /* pre-drawn per-node uniforms (NodeUniformBuffer internals) */
-    double *uni_buf; /* (trials*n, chunk) */
-    long *uni_cursor;
-    long chunk;
+    /* per-node PCG64 generators, stepped in place: (trials*n, 4)
+     * words, state hi, state lo, increment hi, increment lo */
+    uint64_t *pcg;
     /* deterministic physics: dense gains, optionally CSR-pruned */
     const double *gains; /* base gain matrix pointer */
     long gain_stride;    /* elements between trial blocks (0 = shared) */
@@ -136,6 +134,23 @@ typedef struct {
 
 enum { EV_ACK = 0, EV_WAKE = 1, EV_RCV = 2 };
 enum { EV_COLS = 6 }; /* columns per event row */
+enum { MAX_THREADS = 64 }; /* mirrored as repro.native.MAX_THREADS */
+
+/* Generator.random() on one node's PCG64 lane: numpy's 128-bit LCG step
+ * (multiplier PCG_DEFAULT_MULTIPLIER_128), its XSL-RR output of the new
+ * state, and the top 53 bits of that output scaled to [0, 1). */
+static double pcg64_random(uint64_t *lane) {
+    const __uint128_t mult =
+        ((__uint128_t)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    __uint128_t state = ((__uint128_t)lane[0] << 64) | lane[1];
+    state = state * mult + (((__uint128_t)lane[2] << 64) | lane[3]);
+    lane[0] = (uint64_t)(state >> 64);
+    lane[1] = (uint64_t)state;
+    const uint64_t x = lane[0] ^ lane[1];
+    const unsigned rot = (unsigned)(lane[0] >> 58);
+    const uint64_t out = (x >> rot) | (x << ((-rot) & 63));
+    return (double)(out >> 11) * 0x1.0p-53;
+}
 
 /* One thread's working set: its trial range, its event segment and its
  * scratch block.  Everything it may write is disjoint from every other
@@ -175,8 +190,7 @@ static long *emit(worker_slot *w, long t, long slot, long code, long node,
 }
 
 /* Advance the trials of one worker slot toward their targets, stopping
- * a trial at a slot boundary when a stepping lane's uniforms are
- * exhausted, and the whole slot when its event segment cannot hold a
+ * at a slot boundary when the slot's event segment cannot hold a
  * worst-case slot (3n rows: every busy cell acks plus one wake and one
  * rcv per unique-decode listener).  A beta > 1 uniqueness violation
  * (two decodable senders at one listener) raises the shared error flag
@@ -184,9 +198,6 @@ static long *emit(worker_slot *w, long t, long slot, long code, long node,
 static void advance_range(worker_slot *w) {
     repro_state *st = w->st;
     const long n = st->n;
-    const long chunk = st->chunk;
-    if (n <= 0)
-        return;
 
     for (long t = w->t0; t < w->t1; t++) {
         if (!st->live[t])
@@ -197,21 +208,6 @@ static void advance_range(worker_slot *w) {
                 return;
             if (st->ev_seg - *w->ev_len < 3 * n)
                 return;
-            /* Every cell that will step this slot must have a
-             * pre-drawn uniform left; otherwise park this trial so the
-             * shim can refill whole chunks exactly as
-             * NodeUniformBuffer.take() would. */
-            int need_refill = 0;
-            for (long v = 0; v < n; v++) {
-                if (st->busy[base + v] &&
-                    st->uni_cursor[base + v] >= chunk) {
-                    need_refill = 1;
-                    break;
-                }
-            }
-            if (need_refill)
-                break;
-
             const long slot = st->trial_slots[t];
 
             /* Phase 1: kernel step for every busy cell, in ascending
@@ -223,9 +219,7 @@ static void advance_range(worker_slot *w) {
                 const long cell = base + v;
                 if (!st->busy[cell])
                     continue;
-                const double u =
-                    st->uni_buf[cell * chunk + st->uni_cursor[cell]];
-                st->uni_cursor[cell] += 1;
+                const double u = pcg64_random(st->pcg + 4 * cell);
                 int transmit = 0;
                 int halt = 0;
                 if (st->kind == 0) {
@@ -440,11 +434,10 @@ static void *worker_main(void *arg) {
 }
 
 /* Advance every live trial toward its target.  Returns 0 when every
- * thread ran to completion (some trials may still be short of target:
- * parked for a uniform refill or a segment drain — the shim re-calls),
+ * thread ran to completion (a trial may still be short of target when
+ * its thread's event segment filled — the shim drains and re-calls),
  * -2 on a beta > 1 uniqueness violation. */
 long repro_advance_slots(repro_state *st) {
-    enum { MAX_THREADS = 64 };
     long nt = st->nthreads;
     if (nt < 1)
         nt = 1;

@@ -1,23 +1,22 @@
 """Marshalling layer between :class:`VectorRuntime` and the C kernel.
 
-A :class:`NativeStepper` is created lazily by the runtime the first
-time a batch advances through the native backend, and reused for the
-batch's whole life: it pins the gain base pointer (dense stack, or the
-shared dense matrix the sparse CSR path gathers from), allocates the
-event sink and per-thread scratch blocks once, and on every call
+A :class:`NativeStepper` is built by the runtime when it picks the
+native backend for a batch, and serves the batch's whole life: it pins
+the gain base pointer (dense stack, or the shared dense matrix the
+sparse CSR path gathers from), allocates the event sink and per-thread
+scratch blocks once, and on every call
 
-1. caps the stride at the tightest per-trial slot budget and writes the
-   per-trial absolute slot targets,
-2. hands the runtime's *live* columnar state (kernel columns, busy /
-   awake / seen / tx_mid, the NodeUniformBuffer storage) to
-   ``repro_advance_slots`` by pointer — the C kernel mutates the very
-   arrays the numpy path reads, so the two backends can interleave
-   slot by slot without any copying or divergence,
+1. writes the per-trial absolute slot targets (the runtime has already
+   capped the stride at the tightest slot budget),
+2. hands the runtime's columnar state (kernel columns, busy / awake /
+   seen / tx_mid, and the per-node PCG64 words the kernel draws from)
+   to ``repro_advance_slots`` by pointer — the C kernel mutates those
+   very arrays, so nothing is copied in or out,
 3. collects each thread's event segment (segment order is ascending
    trial-range order, so per-trial event order is thread-count
-   invariant), refills exhausted uniform lanes whole-chunk exactly as
-   ``NodeUniformBuffer.take`` would before re-entering C, and folds the
-   counter accumulators into each trial's channel.
+   invariant), re-entering C when a segment filled before the stride
+   ended, and folds the counter accumulators into each trial's
+   channel.
 
 Adapter-free batches run the whole stride in as few calls as the event
 sink allows and drain the events straight into the per-trial
@@ -30,11 +29,10 @@ phases before the next call, in the numpy step's order: acks and
 ``on_rcv`` (each rcv row carries its decoded sender), then the end of
 slot (acked detach, staged attach, ``flush``, slot counters).
 
-The stepper never runs unless the runtime's eligibility probe passed
-(counters-only, adversary-free, deterministic physics — dense, or
-sparse-exact over one shared resolver — no churn mask); every other
-slot shape falls back to the numpy step, transparently, in
-``VectorRuntime.advance_slots``.
+The runtime builds a stepper only when its eligibility probe passes
+(counters-only, adversary-free, deterministic static physics — dense,
+or sparse-exact over one shared resolver); every other batch runs the
+numpy step for its whole life.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from repro.native import (
     EV_COLS,
     EV_RCV,
     EV_WAKE,
+    MAX_THREADS,
     NativeState,
     load,
 )
@@ -77,10 +76,11 @@ class NativeStepper:
         n = runtime.n
         trials = runtime.trials
         kernel = runtime.kernel
-        # More threads than trials would only spawn idle workers; the
-        # partition stays deterministic for a fixed clamped count, so a
-        # trial's event segment never moves between calls.
-        self._nthreads = max(1, min(int(threads), trials))
+        # More threads than trials would only spawn idle workers, and C
+        # runs at most MAX_THREADS; the partition stays deterministic
+        # for a fixed clamped count, so a trial's event segment never
+        # moves between calls.
+        self._nthreads = max(1, min(int(threads), trials, MAX_THREADS))
 
         sparse = bool(runtime._sparse)
         # The gains are immutable for native-eligible batches (no
@@ -118,15 +118,15 @@ class NativeStepper:
         self._slot_counts = np.zeros(trials, dtype=np.int64)
         self._tx_totals = np.zeros(trials, dtype=np.int64)
         self._rx_totals = np.zeros(trials, dtype=np.int64)
-        # Event sink: one segment per thread.  The C side checks a
-        # worst case of 3n rows before entering a slot, so a segment of
-        # at least 6n guarantees every thread at least one slot of
-        # progress per call while letting sparse-event stretches (the
-        # common case) run for thousands of slots.
+        # Event sink: one segment per thread.  The C side enters a slot
+        # only with a worst case of 3n rows left, so 6n rows per trial
+        # of a thread's range let one call finish a slot of every trial
+        # (the one-slot calls of adapter batches need exactly that) and
+        # let sparse-event stretches (the common case) run for
+        # thousands of slots.
+        per_thread = -(-trials // self._nthreads)
         self._ev_seg = max(
-            6 * n,
-            (max(6 * trials * n, 1 << 14) + self._nthreads - 1)
-            // self._nthreads,
+            6 * n * per_thread, -(-(1 << 14) // self._nthreads)
         )
         self._events = np.empty((self._nthreads * self._ev_seg, EV_COLS),
                                 dtype=np.int64)
@@ -144,9 +144,7 @@ class NativeStepper:
         state.awake = _ptr(runtime._awake)
         state.tx_mid = _ptr(runtime._tx_mid)
         state.seen = _ptr(runtime._seen)
-        state.uni_buf = _ptr(runtime._uniforms._buf)
-        state.uni_cursor = _ptr(runtime._uniforms._cursor)
-        state.chunk = runtime._uniforms.chunk
+        state.pcg = _ptr(runtime._pcg)
         state.gains = _ptr(self._gains)
         state.gain_stride = gain_stride
         state.noise = float(runtime.params.noise)
@@ -179,21 +177,9 @@ class NativeStepper:
         self._state = state
 
     def advance(self, k: int, rows: list[int]) -> int:
-        """Advance ``rows`` (non-empty) by up to ``k`` native slots;
-        return the count.
-
-        The stride is capped at the tightest per-trial slot budget so
-        the numpy path's budget ``RuntimeError`` still fires on the
-        exact slot it would have (the caller falls back to ``advance``
-        when 0 comes back).
-        """
+        """Advance ``rows`` (non-empty, each with ``k`` slots of budget
+        left) by ``k`` native slots; return ``k``."""
         runtime = self._runtime
-        budget = min(
-            runtime.max_slots[t] - runtime.slots[t] for t in rows
-        )
-        k = min(int(k), int(budget))
-        if k <= 0:
-            return 0
         self._live[:] = 0
         self._live[rows] = 1
         self._slot_counts[:] = 0
@@ -201,55 +187,61 @@ class NativeStepper:
         self._rx_totals[:] = 0
         row_idx = np.asarray(rows, dtype=np.intp)
         if runtime.adapter is None:
-            self._run(row_idx, k, self._drain_events)
+            self._set_targets(row_idx, k)
+            # A call returns short of the targets only when a thread's
+            # event segment filled: drain it and re-enter.
+            while True:
+                self._drain_events(self._call())
+                if not self._unfinished(row_idx):
+                    break
             slots = self._trial_slots.tolist()
             for t in rows:
                 runtime.slots[t] = slots[t]
         else:
             for _ in range(k):
-                self._replay(self._slot_events(row_idx), rows)
+                self._set_targets(row_idx, 1)
+                segments = self._call()
+                if self._unfinished(row_idx):
+                    raise RuntimeError("native kernel returned mid-slot")
+                # Segments come in ascending trial-range order and each
+                # holds whole slots, so the rows are already in trial
+                # order.
+                self._replay(
+                    np.concatenate(segments or [self._events[:0]]), rows
+                )
         self._sync_counters(rows)
         return k
 
-    def _run(self, row_idx: np.ndarray, k: int, sink) -> None:
-        """Run the kernel until ``row_idx`` stand ``k`` slots further on.
-
-        Each call's event segments go to ``sink`` (thread order) before
-        the next call overwrites them.  A call returns early when a
-        stepping lane runs out of uniforms or a thread's segment fills;
-        the loop refills and re-enters.
-        """
+    def _set_targets(self, row_idx: np.ndarray, k: int) -> None:
+        """Aim ``row_idx`` at ``k`` slots past the runtime's counts."""
         self._trial_slots[:] = self._runtime.slots
         self._trial_target[:] = self._trial_slots
         self._trial_target[row_idx] += k
-        while True:
-            before = self._trial_slots[row_idx].sum()
-            rc = int(self._lib.repro_advance_slots(ctypes.byref(self._state)))
-            if rc < 0:
-                if rc == ERR_BETA_VIOLATION:
-                    raise RuntimeError(
-                        "beta > 1 violated: two decodable senders at "
-                        "one listener"
-                    )
+
+    def _unfinished(self, row_idx: np.ndarray) -> bool:
+        return bool(
+            (self._trial_slots[row_idx] < self._trial_target[row_idx]).any()
+        )
+
+    def _call(self) -> list[np.ndarray]:
+        """One kernel call; the event rows it wrote, one array per
+        non-empty thread segment, in thread order."""
+        rc = int(self._lib.repro_advance_slots(ctypes.byref(self._state)))
+        if rc < 0:
+            if rc == ERR_BETA_VIOLATION:
                 raise RuntimeError(
-                    f"native kernel failed with code {rc}"
-                )  # pragma: no cover - no other codes exist
-            seg = self._ev_seg
-            sink(
-                [
-                    self._events[th * seg : th * seg + count]
-                    for th, count in enumerate(self._ev_lens.tolist())
-                    if count
-                ]
-            )
-            pending = self._trial_slots[row_idx] < self._trial_target[row_idx]
-            if not pending.any():
-                return
-            progressed = self._trial_slots[row_idx].sum() > before
-            if not self._refill_uniforms() and not progressed:
-                raise RuntimeError(
-                    "native kernel made no progress"
-                )  # pragma: no cover - defensive
+                    "beta > 1 violated: two decodable senders at "
+                    "one listener"
+                )
+            raise RuntimeError(
+                f"native kernel failed with code {rc}"
+            )  # pragma: no cover - no other codes exist
+        seg = self._ev_seg
+        return [
+            self._events[th * seg : th * seg + count]
+            for th, count in enumerate(self._ev_lens.tolist())
+            if count
+        ]
 
     def _drain_events(self, segments: list[np.ndarray]) -> None:
         """Append the C event records to the per-trial traces.
@@ -273,24 +265,6 @@ class NativeStepper:
                 if code == EV_ACK:
                     current[trial][node] = None
 
-    def _slot_events(self, row_idx: np.ndarray) -> np.ndarray:
-        """Run one slot of ``row_idx``; its event rows in trial order.
-
-        A trial parked for a uniform refill finishes the slot in a
-        later call (each trial's slot is whole within one call), so the
-        calls' rows are copied and stably sorted by trial.
-        """
-        parts: list[np.ndarray] = []
-
-        def keep(segments: list[np.ndarray]) -> None:
-            parts.extend(segment.copy() for segment in segments)
-
-        self._run(row_idx, 1, keep)
-        if not parts:
-            return self._events[:0]
-        events = np.concatenate(parts)
-        return events[np.argsort(events[:, 0], kind="stable")]
-
     def _replay(self, events: np.ndarray, rows: list[int]) -> None:
         """Finish one slot the C kernel ran, through the runtime's slot
         phases in the numpy step's order (acks and their reactions,
@@ -310,24 +284,6 @@ class NativeStepper:
         base = rcv[:, 0] * n
         runtime._rcv_phase(base + rcv[:, 3], base + rcv[:, 5], rcv[:, 4])
         runtime._end_slot(rows, acked)
-
-    def _refill_uniforms(self) -> bool:
-        """Refill exhausted lanes that will step next slot; True if any.
-
-        Whole-chunk refills of exactly the busy live lanes — the same
-        lanes, the same ``Generator.random(chunk)`` calls, and the same
-        per-lane stream positions ``NodeUniformBuffer.take`` would
-        produce on the numpy path next slot."""
-        runtime = self._runtime
-        uniforms = runtime._uniforms
-        live_cells = np.repeat(self._live.astype(bool), runtime.n)
-        lanes = np.flatnonzero(
-            runtime._busy & live_cells & (uniforms._cursor >= uniforms.chunk)
-        )
-        if not lanes.size:
-            return False
-        uniforms.refill(lanes)
-        return True
 
     def _sync_counters(self, rows: list[int]) -> None:
         """Fold the per-trial channel accumulators into the channels."""

@@ -14,6 +14,7 @@ __all__ = [
     "spawn_node_rngs",
     "spawn_channel_rng",
     "spawn_trial_seeds",
+    "pcg64_columns",
     "NodeUniformBuffer",
     "LinkUniformBuffer",
 ]
@@ -69,14 +70,35 @@ def spawn_trial_seeds(n: int, seed: int | None = 0) -> list[int]:
     ]
 
 
+_LOW64 = (1 << 64) - 1
+
+
+def pcg64_columns(rngs) -> np.ndarray:
+    """The PCG64 state of each generator as ``(len(rngs), 4)`` uint64
+    words: 128-bit state hi, state lo, increment hi, increment lo.
+
+    The native kernel (:mod:`repro.native`) steps these words in place,
+    one ``Generator.random()`` draw at a time, so a lane continues its
+    generator's stream exactly where the generator stands now.
+    """
+    words: list[int] = []
+    for rng in rngs:
+        pcg = rng.bit_generator.state["state"]
+        state, inc = pcg["state"], pcg["inc"]
+        words += (state >> 64, state & _LOW64, inc >> 64, inc & _LOW64)
+    return np.array(words, dtype=np.uint64).reshape(-1, 4)
+
+
 class NodeUniformBuffer:
     """Bulk pre-draw of per-node uniforms, stream-identical to scalar draws.
 
-    The columnar fast path (:mod:`repro.vectorized`) needs one uniform
-    per *owned slot* per node, exactly as the object runtime draws them
-    — node ``i``'s k-th vectorized draw must be the same float its
-    ``Generator.random()`` would have produced on its k-th owned slot,
-    or the fast path stops being decode-for-decode identical.
+    The numpy step of the columnar fast path (:mod:`repro.vectorized`)
+    needs one uniform per *owned slot* per node, exactly as the object
+    runtime draws them — node ``i``'s k-th vectorized draw must be the
+    same float its ``Generator.random()`` would have produced on its
+    k-th owned slot, or the fast path stops being decode-for-decode
+    identical.  (The native kernel draws from :func:`pcg64_columns`
+    instead and needs no buffer.)
 
     This buffer wraps one generator per node and refills each node's
     lane ``chunk`` values at a time with ``Generator.random(chunk)``,
@@ -120,24 +142,12 @@ class NodeUniformBuffer:
         """
         idx = np.asarray(indices, dtype=np.intp)
         exhausted = idx[self._cursor[idx] >= self.chunk]
-        if exhausted.size:
-            self.refill(exhausted)
+        for lane in exhausted.tolist():
+            self._buf[lane] = self._rngs[lane].random(self.chunk)
+            self._cursor[lane] = 0
         out = self._buf[idx, self._cursor[idx]]
         self._cursor[idx] += 1
         return out
-
-    def refill(self, lanes: np.ndarray) -> None:
-        """Refill ``lanes`` whole-chunk, exactly as :meth:`take` would.
-
-        The native backend (:mod:`repro.native`) consumes buffered
-        uniforms directly from ``_buf``/``_cursor`` and calls back here
-        when a stepping lane runs dry mid-batch; each refill is the same
-        ``Generator.random(chunk)`` call :meth:`take` performs, so the
-        lane's stream position stays identical across backends.
-        """
-        for lane in np.asarray(lanes, dtype=np.intp).tolist():
-            self._buf[lane] = self._rngs[lane].random(self.chunk)
-            self._cursor[lane] = 0
 
 
 class LinkUniformBuffer:

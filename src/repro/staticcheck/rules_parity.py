@@ -14,7 +14,7 @@ dead code, because the base gate returns False.
 
 X103 guards the *backend selection* boundary the same way: every
 predicate of ``VectorRuntime._native_ok`` — the probe deciding whether
-a stride runs through the fused C kernel — must have a matching row in
+a batch runs through the fused C kernel — must have a matching row in
 the ``NATIVE_ELIGIBILITY_CASES`` decision table of
 ``tests/test_native_equivalence.py``.  A new eligibility knob without a
 table row would ship untested selection logic: the knob could route

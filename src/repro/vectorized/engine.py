@@ -156,30 +156,12 @@ def run_vector_group(
         if plan.record_physical != record_physical:
             raise ValueError("vector groups must agree on record_physical")
     shared_workload = get_workload(workload_name)
-    # When every trial's slot horizon is known up front (fixed-slot
-    # workloads), pre-size the uniform buffers to it: each node lane
-    # then refills at most once for the whole run, hoisting the
-    # per-slot refill check out of the hot loop on both backends.  The
-    # served streams are chunk-independent (one PCG64 output per
-    # double), so draw-for-draw equivalence is untouched; the buffer's
-    # own byte ceiling caps oversized horizons.
-    targets = [
-        shared_workload.vector_target_slots(plan) for _, plan in group
-    ]
-    chunk = 512
-    if all(target is not None for target in targets):
-        horizon = max(
-            target + plan.extra_slots
-            for target, (_index, plan) in zip(targets, group)
-        )
-        chunk = max(chunk, horizon)
     runtime = VectorRuntime(
         channels,
         kernel,
         seeds=[plan.seed for _, plan in group],
         max_slots=[plan.max_slots for _, plan in group],
         record_physical=record_physical,
-        chunk=chunk,
         native=native,
         native_threads=native_threads,
     )
@@ -203,7 +185,7 @@ def run_vector_group(
                 row=row,
                 plan=plan,
                 workload=workload,
-                target=targets[row],
+                target=workload.vector_target_slots(plan),
             )
         )
 

@@ -21,8 +21,9 @@ engines is the design invariant (the equivalence tests pin it):
   exactly (same operands, same order — powers of two, ``min``/``max``
   clamps and running sums are all bitwise-stable under broadcasting);
 * the caller feeds each stepped cell the uniform its node's private
-  generator would have produced on that owned slot (see
-  :class:`~repro.simulation.rng.NodeUniformBuffer`);
+  generator would have produced on that owned slot (the numpy step
+  serves it from :class:`~repro.simulation.rng.NodeUniformBuffer`;
+  the native kernel steps each node's PCG64 state itself);
 * per-trial configuration scalars are expanded to per-cell columns at
   construction, so one columnar batch may mix trials with different
   protocol parameters (e.g. an ε-sweep over one deployment);
@@ -106,8 +107,8 @@ class DecayKernel:
     def native_columns(self) -> dict[str, np.ndarray]:
         """Column arrays by their ``repro_state`` field names.
 
-        The native backend steps these very arrays in place; a batch can
-        therefore hop between backends slot by slot without copying.
+        The native backend steps these very arrays in place, so nothing
+        is copied into or out of the kernel.
         """
         return {
             "slots_run": self.slots_run,
@@ -255,8 +256,8 @@ class AckKernel:
     def native_columns(self) -> dict[str, np.ndarray]:
         """Column arrays by their ``repro_state`` field names.
 
-        The native backend steps these very arrays in place; a batch can
-        therefore hop between backends slot by slot without copying.
+        The native backend steps these very arrays in place, so nothing
+        is copied into or out of the kernel.
         """
         return {
             "slots_run": self.slots_run,

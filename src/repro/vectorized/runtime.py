@@ -10,7 +10,9 @@ lattice — the per-node protocol state lives in a columnar kernel
 bulk pre-draw (:class:`~repro.simulation.rng.NodeUniformBuffer`), and
 the SINR physics of the whole batch resolves through the flat
 ``(trial, listener, sender)`` decodes of
-:func:`~repro.sinr.physics.successful_receptions_batch`.
+:func:`~repro.sinr.physics.successful_receptions_batch`.  Batches the
+fused C kernel covers run there instead (:mod:`repro.native`), each
+node drawing from its own PCG64 state stepped in place.
 
 Equivalence contract
 --------------------
@@ -48,7 +50,11 @@ import numpy as np
 
 from repro.core.events import BcastMessage, MessageRegistry
 from repro.native import resolve_backend, resolve_threads
-from repro.simulation.rng import NodeUniformBuffer, spawn_node_rngs
+from repro.simulation.rng import (
+    NodeUniformBuffer,
+    pcg64_columns,
+    spawn_node_rngs,
+)
 from repro.simulation.trace import EventTrace, TraceEvent
 from repro.sinr.channel import Channel
 from repro.sinr.physics import batch_tensor, successful_receptions_batch
@@ -92,15 +98,15 @@ class VectorRuntime:
         ``False`` pins the pure-numpy reference path, ``True`` demands
         the compiled kernel (raising when it is not built), ``None``
         (default) defers to the ``REPRO_NATIVE`` environment variable
-        and otherwise auto-selects whatever is available.  Either way
-        every slot shape the C kernel does not cover (tracing, fading,
-        churn, adversaries, approximate-sparse physics) transparently
-        runs the numpy step — the backends produce bit-identical
-        results, so this is purely a speed knob.  Sparse-*exact*
-        batches over one shared resolver ride the fused CSR decode
-        path; batches with a protocol adapter attached ride the kernel
-        one slot per call, their client reactions replayed between
-        slots.
+        and otherwise auto-selects whatever is available.  The backend
+        is chosen once, here: a batch the C kernel does not cover
+        (tracing, fading, churn, adversaries, approximate-sparse
+        physics) runs the numpy step for its whole life — the backends
+        produce bit-identical results, so this is purely a speed knob.
+        Sparse-*exact* batches over one shared resolver ride the fused
+        CSR decode path; batches with a protocol adapter attached ride
+        the kernel one slot per call, their client reactions replayed
+        between slots.
     native_threads:
         Kernel threads partitioning the trials axis inside the C loop
         (``None`` defers to ``REPRO_NATIVE_THREADS``, default 1).
@@ -114,7 +120,6 @@ class VectorRuntime:
         seeds: Sequence[int | None],
         max_slots: Sequence[int] | int = 2_000_000,
         record_physical: bool = True,
-        chunk: int = 512,
         native: bool | None = None,
         native_threads: int | None = None,
     ) -> None:
@@ -191,13 +196,6 @@ class VectorRuntime:
             for channel, seed in zip(self.channels, seeds):
                 channel.bind_trial_seed(seed)
 
-        rngs = [
-            rng
-            for seed in seeds
-            for rng in spawn_node_rngs(n, seed)
-        ]
-        self._uniforms = NodeUniformBuffer(rngs, chunk=chunk)
-
         self.traces = [EventTrace() for _ in range(trials)]
         self.registries = [MessageRegistry() for _ in range(trials)]
         self.slots = [0] * trials
@@ -236,13 +234,26 @@ class VectorRuntime:
         # paths then skip all masking), else a (trials·n,) bool mask.
         self._alive = self._gather_alive()
 
-        # Native backend: resolved once per batch; the stepper (the
-        # marshalling bridge to the C kernel) is built lazily on the
-        # first slot that actually qualifies.  native_slots counts the
-        # slots the compiled kernel advanced — 0 under the fallback.
+        # The backend, chosen once: nothing _native_ok() reads changes
+        # inside a batch.  A native batch hands each node's PCG64 state
+        # to the C kernel, which steps it in place; a numpy batch feeds
+        # its step from a bulk pre-draw of the same generators.
+        # native_slots counts the slots the compiled kernel advanced.
         self._use_native = resolve_backend(native)
-        self._native_threads = resolve_threads(native_threads)
-        self._native_stepper = None
+        threads = resolve_threads(native_threads)
+        rngs = [
+            rng
+            for seed in seeds
+            for rng in spawn_node_rngs(n, seed)
+        ]
+        self._stepper = None
+        if self._native_ok():
+            from repro.native.stepper import NativeStepper
+
+            self._pcg = pcg64_columns(rngs)
+            self._stepper = NativeStepper(self, threads=threads)
+        else:
+            self._uniforms = NodeUniformBuffer(rngs)
         self.native_slots = 0
 
     def _gather_alive(self) -> np.ndarray | None:
@@ -371,15 +382,13 @@ class VectorRuntime:
 
     def advance(self, rows: Sequence[int] | None = None) -> None:
         """Advance the given trials (default: all) by one slot."""
+        if self._stepper is not None:
+            self.advance_slots(1, rows)
+            return
         n = self._n
         trials = self.trials
         rows = list(range(trials)) if rows is None else list(rows)
-        for t in rows:
-            if self.slots[t] >= self.max_slots[t]:
-                raise RuntimeError(
-                    f"slot budget exhausted ({self.max_slots[t]}); "
-                    "protocol appears not to terminate"
-                )
+        self._check_budget(rows)
 
         if self._dynamic:
             # Epoch contract: per-trial topology changes land before
@@ -762,10 +771,10 @@ class VectorRuntime:
         if feedback_cells:
             self.kernel.notify(np.asarray(feedback_cells, dtype=np.intp))
 
-    # -- native backend dispatch -------------------------------------------
+    # -- backend dispatch --------------------------------------------------
 
     def _native_ok(self) -> bool:
-        """Can the *next* slot run through the fused C kernel?
+        """Can this batch run through the fused C kernel?
 
         The compiled loop covers exactly the counters-only deterministic
         fast path — dense physics, or sparse-exact over one shared
@@ -773,9 +782,8 @@ class VectorRuntime:
         adapter (one slot per kernel call, see
         :mod:`repro.native.stepper`): everything else — physical
         tracing, adversaries, approximate-sparse / stochastic / dynamic
-        physics, churn masks, kernels without native columns — takes
-        the numpy step.  Checked per stride because eligibility can
-        change mid-batch (e.g. churn starting).
+        physics (churn masks exist only under a dynamic topology),
+        kernels without native columns — takes the numpy step.
         """
         return (
             self._use_native
@@ -783,50 +791,44 @@ class VectorRuntime:
             and (not self._sparse or self._sparse_native_ok)
             and not self._stochastic
             and not self._dynamic
-            and self._alive is None
             and not self.record_physical
             and self._seen is not None
             and hasattr(self.kernel, "native_columns")
         )
 
-    def _advance_native(self, k: int, rows: list[int]) -> int:
-        from repro.native.stepper import NativeStepper
-
-        if self._native_stepper is None:
-            self._native_stepper = NativeStepper(
-                self, threads=self._native_threads
-            )
-        done = self._native_stepper.advance(k, rows)
-        self.native_slots += done
-        return done
+    def _check_budget(self, rows: Sequence[int]) -> None:
+        for t in rows:
+            if self.slots[t] >= self.max_slots[t]:
+                raise RuntimeError(
+                    f"slot budget exhausted ({self.max_slots[t]}); "
+                    "protocol appears not to terminate"
+                )
 
     def advance_slots(
         self, k: int, rows: Sequence[int] | None = None
     ) -> None:
         """Advance the given trials (default: all) by ``k`` slots.
 
-        The multi-slot form of :meth:`advance`: eligible stretches run
-        through the fused native kernel, everything else falls back to
-        the per-slot numpy step — slot for slot the two backends
-        produce identical state, so mixing them inside one stride is
-        safe.  An empty ``rows`` advances nothing on either backend.
+        The multi-slot form of :meth:`advance`: a native batch runs the
+        whole stride in the fused C kernel, a numpy batch steps it slot
+        by slot.  Either way the slot budget ``RuntimeError`` fires
+        after the same slot.  An empty ``rows`` advances nothing.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
+        k = int(k)
         rows = list(range(self.trials)) if rows is None else list(rows)
         if not rows:
             return
-        remaining = int(k)
-        while remaining > 0:
-            if self._native_ok():
-                done = self._advance_native(remaining, rows)
-                if done:
-                    remaining -= done
-                    continue
-                # 0 = budget exhausted; the numpy step raises the
-                # budget RuntimeError with its usual message.
-            self.advance(rows)
-            remaining -= 1
+        if self._stepper is None:
+            for _ in range(k):
+                self.advance(rows)
+            return
+        budget = min(self.max_slots[t] - self.slots[t] for t in rows)
+        if budget > 0:
+            self.native_slots += self._stepper.advance(min(k, budget), rows)
+        if k > budget:
+            self._check_budget(rows)
 
     # -- single-batch drivers (Runtime-compatible) -------------------------
 

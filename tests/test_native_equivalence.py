@@ -23,9 +23,11 @@ now the compiled kernel — and every one of them must produce the same
   (``native_slots`` stays 0), ``native=True`` without a built kernel
   fails loudly, and the auto mode picks whatever :func:`available`
   reports;
-* **draw-count contract** — results are invariant under the
-  :class:`NodeUniformBuffer` chunk size (the horizon pre-sizing
-  optimisation in the vector engine rides exactly this property).
+* **streams** — the kernel steps each node's PCG64 state in place:
+  after k native slots every lane's state words equal its
+  :func:`spawn_node_rngs` generator advanced by that lane's draw count;
+* **budget** — a slot budget below the workload's target raises after
+  the same slot on both backends.
 
 Everything that needs the compiled kernel skips cleanly when
 ``repro.native.available()`` is False (no C compiler): the portable
@@ -52,6 +54,7 @@ from repro.experiments import (
     seeded_plans,
 )
 from repro.experiments.cache import deployment_artifacts, resolve_deployment
+from repro.geometry.points import PointSet
 from repro.native.stepper import NativeStepper
 from repro.simulation.rng import (
     NodeUniformBuffer,
@@ -279,13 +282,6 @@ NATIVE_ELIGIBILITY_CASES = [
     ("_stochastic", lambda rt: setattr(rt, "_stochastic", True), False),
     ("_dynamic", lambda rt: setattr(rt, "_dynamic", True), False),
     (
-        "_alive",
-        lambda rt: setattr(
-            rt, "_alive", np.ones(rt.trials * rt.n, dtype=bool)
-        ),
-        False,
-    ),
-    (
         "record_physical",
         lambda rt: setattr(rt, "record_physical", True),
         False,
@@ -441,11 +437,11 @@ def test_golden_fixtures_replay_under_forced_native(name, monkeypatch):
 
 
 def _direct_runtime(
-    chunk: int = 512,
     native: bool | None = None,
     sparse: bool = False,
     threads: int | None = None,
     broadcast: bool = True,
+    trials: int = 1,
 ):
     points = resolve_deployment(DEPLOYMENT)
     params = TrialPlan(deployment=DEPLOYMENT).params
@@ -453,27 +449,30 @@ def _direct_runtime(
         params = sparse_exact_params()
     config = DecayConfig(contention_bound=16.0, eps_ack=0.2)
     if sparse:
-        channel = Channel(points, params)
+        channels = [Channel(points, params)]
     else:
         artifacts = deployment_artifacts(points, params)
-        channel = Channel(
-            points,
-            params,
-            distances=artifacts.distances,
-            gains=artifacts.gains,
-        )
+        channels = [
+            Channel(
+                points,
+                params,
+                distances=artifacts.distances,
+                gains=artifacts.gains,
+            )
+            for _ in range(trials)
+        ]
     runtime = VectorRuntime(
-        [channel],
-        DecayKernel([config], N),
-        seeds=[77],
+        channels,
+        DecayKernel([config] * trials, N),
+        seeds=[77 + t for t in range(trials)],
         record_physical=False,
-        chunk=chunk,
         native=native,
         native_threads=threads,
     )
     if broadcast:
-        for node in range(N):
-            runtime.bcast(0, node, payload=f"m{node}")
+        for t in range(trials):
+            for node in range(N):
+                runtime.bcast(t, node, payload=f"m{node}")
     return runtime
 
 
@@ -493,6 +492,128 @@ def test_advance_slots_without_rows_is_a_no_op(backend):
     assert runtime.native_slots == 0
     assert runtime.channels[0].total_transmissions == 0
     assert list(runtime.traces[0]) == before
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [pytest.param(True, marks=needs_native), False],
+    ids=["native", "numpy"],
+)
+def test_empty_population_advances(backend):
+    """A batch of zero-node trials still counts its slots on either
+    backend (the kernel must not stall short of its target)."""
+    params = TrialPlan(deployment=DEPLOYMENT).params
+    runtime = VectorRuntime(
+        [Channel(PointSet(np.zeros((0, 2))), params)],
+        DecayKernel([DecayConfig(contention_bound=4.0)], 0),
+        seeds=[1],
+        record_physical=False,
+        native=backend,
+    )
+    runtime.run(3)
+    assert runtime.slots == [3]
+    assert runtime.native_slots == (3 if backend else 0)
+
+
+@needs_native
+@pytest.mark.parametrize("staggered", [False, True], ids=["busy", "staggered"])
+def test_native_lanes_continue_the_generator_streams(staggered):
+    """The kernel steps each node's PCG64 state in place, one
+    Generator.random() per owned slot: after k native slots every
+    lane's state words equal its spawn_node_rngs generator advanced by
+    that lane's draw count (slots_run — no node rebroadcasts here),
+    compared through bit_generator.state."""
+    trials = 3
+    runtime = _direct_runtime(native=True, trials=trials, broadcast=False)
+    first = range(3) if staggered else range(N)
+    for t in range(trials):
+        for node in first:
+            runtime.bcast(t, node, payload=f"m{node}")
+    runtime.run(17)
+    if staggered:
+        for t in range(trials):
+            for node in range(3, 7):
+                runtime.bcast(t, node, payload=f"m{node}")
+        runtime.run(23)
+    else:
+        assert runtime._busy.all(), "every node must still be drawing"
+    assert runtime.native_slots == runtime.slots[0]
+    draws = runtime.kernel.slots_run
+    assert sorted(set(draws.tolist())) == ([0, 23, 40] if staggered else [17])
+    for t in range(trials):
+        for node, rng in enumerate(spawn_node_rngs(N, 77 + t)):
+            lane = t * N + node
+            rng.random(int(draws[lane]))
+            hi, lo, inc_hi, inc_lo = (int(w) for w in runtime._pcg[lane])
+            assert rng.bit_generator.state["state"] == {
+                "state": hi << 64 | lo,
+                "inc": inc_hi << 64 | inc_lo,
+            }
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [pytest.param(True, marks=needs_native), False],
+    ids=["native", "numpy"],
+)
+def test_slot_budget_raises_after_the_same_slot(backend):
+    """A counters-only Decay plan whose max_slots is below its
+    fixed_slots target raises the budget error on either backend, with
+    the batch standing at its budget — the native path raises it
+    itself after running exactly the slots the budget allows."""
+    plans = make_plans(
+        "decay",
+        2,
+        None,
+        workload="fixed_slots",
+        options=TrialPlan.pack_options(slots=400),
+        max_slots=150,
+        record_physical=False,
+    )
+    runtimes = []
+    real = vector_engine.VectorRuntime
+
+    def build(*args, **kwargs):
+        runtimes.append(real(*args, **kwargs))
+        return runtimes[-1]
+
+    with mock.patch.object(vector_engine, "VectorRuntime", build):
+        with pytest.raises(RuntimeError, match="slot budget exhausted"):
+            run_trials(plans, ExecutionPolicy(native=backend))
+    (runtime,) = runtimes
+    assert runtime.slots == [150, 150]
+    assert runtime.native_slots == (150 if backend else 0)
+
+
+@needs_native
+def test_stepper_threads_clamp_to_the_kernel_limit():
+    """C runs at most MAX_THREADS threads; the stepper sizes its event
+    segments for the partition C really uses, so one call can finish
+    a slot of every trial in a thread's range."""
+    trials = native.MAX_THREADS + 6
+    runtime = _direct_runtime(native=True, trials=trials, threads=1000)
+    stepper = runtime._stepper
+    assert stepper._nthreads == native.MAX_THREADS
+    assert stepper._ev_seg >= 3 * N * -(-trials // native.MAX_THREADS)
+
+
+@needs_native
+def test_adapter_slot_must_finish_in_one_call():
+    """Adapter batches replay one slot per kernel call: a call that
+    leaves any live trial short of the slot raises instead of letting
+    the slot's events split over two calls."""
+    runtime = _direct_runtime(native=True, trials=2, broadcast=False)
+    adapter = VectorMacAdapter(runtime)
+    clients = ConsensusClients(
+        adapter, waves=[3, 3], values=[[i % 2 for i in range(N)]] * 2
+    )
+    adapter.install(clients)
+    for t in range(2):
+        clients.start(t)
+    # Below the 3n-row worst case C demands before entering a slot.
+    runtime._stepper._state.ev_seg = 3 * N - 1
+    with pytest.raises(RuntimeError, match="mid-slot"):
+        runtime.advance()
 
 
 def test_env_zero_forces_numpy_fallback(monkeypatch):
@@ -547,28 +668,6 @@ def test_available_is_a_clean_probe():
     the skip guard for this whole suite."""
     assert native.available() in (True, False)
     assert native.lib_path().name == "_advance.so"
-
-
-# -- RNG draw-count / chunk-size contract -----------------------------------
-
-
-@pytest.mark.parametrize("chunk", [7, 4096])
-def test_results_invariant_under_chunk_size(chunk):
-    """One Generator.random(chunk) call per refill yields the same
-    per-node stream for any chunk (PCG64 emits one output per double),
-    so the engine's horizon pre-sizing — one big refill instead of many
-    per-slot ones — cannot move a bit.  Pinned here at the runtime
-    level for whichever backend is active."""
-    baseline = _direct_runtime(chunk=512)
-    resized = _direct_runtime(chunk=chunk)
-    baseline.run(300)
-    resized.run(300)
-    for a, b in zip(baseline.channels, resized.channels):
-        assert a.total_transmissions == b.total_transmissions
-        assert a.total_receptions == b.total_receptions
-    assert [e[:3] for e in baseline.traces[0]] == [
-        e[:3] for e in resized.traces[0]
-    ]
 
 
 # -- build staleness --------------------------------------------------------
