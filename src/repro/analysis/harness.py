@@ -48,6 +48,7 @@ from repro.experiments.cache import ArtifactCache, deployment_artifacts
 from repro.geometry.points import PointSet
 from repro.simulation.runtime import Runtime, RuntimeConfig
 from repro.sinr.channel import Channel, JammingAdversary
+from repro.sinr.graphs import CsrGraph
 from repro.sinr.params import SINRParameters
 from repro.topology import TopologyProvider
 
@@ -79,17 +80,19 @@ class StackBundle:
     metrics: NetworkMetrics
     graph: nx.Graph  # G_{1-ε}
     approx_graph: nx.Graph  # G_{1-2ε}
+    graph_csr: CsrGraph  # G_{1-ε} as the spec measurements read it
+    approx_csr: CsrGraph  # G_{1-2ε}, likewise
 
     def ack_report(self, intervals=None) -> AckReport:
         """Acknowledgment measurements of the run so far."""
         return measure_acknowledgments(
-            self.runtime.trace, self.graph, intervals
+            self.runtime.trace, self.graph_csr, intervals
         )
 
     def approg_report(self, intervals=None) -> ProgressReport:
         """Approximate-progress measurements of the run so far."""
         return measure_approximate_progress(
-            self.runtime.trace, self.graph, self.approx_graph, intervals
+            self.runtime.trace, self.graph_csr, self.approx_csr, intervals
         )
 
 
@@ -165,6 +168,8 @@ def _assemble(
         metrics=artifacts.metrics,
         graph=artifacts.graph,
         approx_graph=artifacts.approx_graph,
+        graph_csr=artifacts.graph_csr,
+        approx_csr=artifacts.approx_csr,
     )
 
 

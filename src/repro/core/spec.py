@@ -20,16 +20,35 @@ These are statistical statements, so the checker measures empirical
 latency distributions over a trace and compares success fractions
 against the contract.  All measurement is trace-based: protocols are
 never trusted to self-report.
+
+Every measurement is a handful of array operations — sorts,
+``searchsorted`` and ``bincount`` — over the trace's int64 columns
+(:meth:`~repro.simulation.trace.EventTrace.columns`) and the CSR
+adjacency of the graphs (:class:`~repro.sinr.graphs.CsrGraph`; the
+deployment artifacts carry G_{1-ε} and G̃ in that form, and a bare
+``nx.Graph`` with integer labels is converted on entry).  MAC events
+carry integer message ids; a physical reception counts when its datum
+is a ``(sender, BcastMessage)`` pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import networkx as nx
+import numpy as np
 
-from repro.core.events import BcastMessage
-from repro.simulation.trace import EventTrace
+from repro.simulation.trace import (
+    ABORT,
+    ABSENT,
+    ACK,
+    BCAST,
+    RCV,
+    RECEIVE,
+    EventTrace,
+)
+from repro.sinr.graphs import CsrGraph
 
 __all__ = [
     "AbsMacContract",
@@ -63,6 +82,11 @@ class AbsMacContract:
             raise ValueError("eps_ack must be in (0, 1)")
         if (self.fapprog is None) != (self.eps_approg is None):
             raise ValueError("fapprog and eps_approg must come together")
+        if self.fapprog is not None:
+            if self.fapprog <= 0:
+                raise ValueError("fapprog must be positive")
+            if not 0.0 < self.eps_approg < 1.0:
+                raise ValueError("eps_approg must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -172,39 +196,117 @@ class ProgressReport:
         return sum(lats) / len(lats) if lats else None
 
 
-def broadcast_intervals(trace: EventTrace) -> dict[int, tuple[int, int, int]]:
+Graph = nx.Graph | CsrGraph
+Intervals = dict[int, tuple[int, int, int]]
+
+_NEVER = int(np.iinfo(np.int64).max)  # "no slot" in min-reductions
+
+
+def _csr(graph: Graph) -> CsrGraph:
+    return graph if isinstance(graph, CsrGraph) else CsrGraph.from_graph(graph)
+
+
+def _last(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys`` (ascending) and the index of each one's last
+    occurrence."""
+    distinct, back = np.unique(keys[::-1], return_index=True)
+    return distinct, len(keys) - 1 - back
+
+
+def _find(ordered: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index of each ``wanted`` value in the ascending distinct
+    ``ordered`` array; -1 where absent."""
+    if not len(ordered):
+        return np.full(len(wanted), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(ordered, wanted), len(ordered) - 1)
+    return np.where(ordered[at] == wanted, at, -1)
+
+
+def _rows_of(columns, *codes: int) -> np.ndarray:
+    """Rows of the given kinds that carry an integer datum."""
+    kind = columns.code == codes[0]
+    for code in codes[1:]:
+        kind |= columns.code == code
+    return np.flatnonzero(kind & (columns.mid != ABSENT))
+
+
+def _interval_arrays(
+    intervals: Intervals,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(mids, origins, bcast slots, end slots)``, ascending by mid."""
+    mids = np.fromiter(intervals.keys(), dtype=np.int64, count=len(intervals))
+    spans = np.fromiter(
+        chain.from_iterable(intervals.values()),
+        dtype=np.int64,
+        count=3 * len(intervals),
+    ).reshape(-1, 3)
+    if not (mids[1:] > mids[:-1]).all():  # broadcast_intervals sorts them
+        order = np.argsort(mids)
+        mids, spans = mids[order], spans[order]
+    return mids, spans[:, 0], spans[:, 1], spans[:, 2]
+
+
+def _neighbor_entries(
+    csr: CsrGraph, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, neighbour)`` for every neighbour of every ``rows[i]``:
+    ``owner`` indexes ``rows``."""
+    counts = csr.degrees[rows]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, csr.indices[csr.indptr[rows][owner] + offset]
+
+
+def broadcast_intervals(trace: EventTrace) -> Intervals:
     """Extract per-message active intervals from a trace.
 
-    Returns ``mid -> (origin, bcast_slot, end_slot)`` where ``end_slot``
-    is the ack/abort slot or the end of the trace for still-active
-    broadcasts.
+    Returns ``mid -> (origin, bcast_slot, end_slot)``.  A mid's interval
+    starts at its last bcast event; ``end_slot`` is the slot of the last
+    ack/abort of the mid after that bcast, or the end of the trace for
+    still-active broadcasts.
     """
-    intervals: dict[int, tuple[int, int, int]] = {}
+    columns = trace.columns()
     horizon = trace.last_slot() + 1
-    for event in trace:
-        if event.kind == "bcast":
-            intervals[event.data] = (event.node, event.slot, horizon)
-        elif event.kind in ("ack", "abort") and event.data in intervals:
-            origin, start, _ = intervals[event.data]
-            intervals[event.data] = (origin, start, event.slot)
-    return intervals
+    bcasts = _rows_of(columns, BCAST)
+    mids, last = _last(columns.mid[bcasts])
+    started = bcasts[last]
+    endings = _rows_of(columns, ACK, ABORT)
+    end_mids, end_last = _last(columns.mid[endings])
+    ended = endings[end_last]
+    hit = _find(end_mids, mids)
+    closed = hit >= 0
+    closed[closed] = ended[hit[closed]] > started[closed]
+    ends = np.full(len(mids), horizon, dtype=np.int64)
+    ends[closed] = columns.slot[ended[hit[closed]]]
+    return dict(
+        zip(
+            mids.tolist(),
+            zip(
+                columns.node[started].tolist(),
+                columns.slot[started].tolist(),
+                ends.tolist(),
+            ),
+        )
+    )
 
 
-def _first_deliveries(trace: EventTrace) -> dict[tuple[int, int], int]:
-    """(node, mid) -> slot of the node's rcv event for that message."""
-    deliveries: dict[tuple[int, int], int] = {}
-    for event in trace:
-        if event.kind == "rcv":
-            key = (event.node, event.data)
-            if key not in deliveries:
-                deliveries[key] = event.slot
-    return deliveries
+def _first_deliveries(
+    columns, csr: CsrGraph, mids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys ``i · len(csr) + row`` of (``mids[i]``, graph row)
+    pairs with an rcv event, and the slot of each pair's first one."""
+    rcvs = _rows_of(columns, RCV)
+    at = csr.positions(columns.node[rcvs])
+    which = _find(mids, columns.mid[rcvs])
+    keep = (at >= 0) & (which >= 0)
+    keys, first = np.unique(which[keep] * len(csr) + at[keep], return_index=True)
+    return keys, columns.slot[rcvs[keep]][first]
 
 
 def measure_acknowledgments(
     trace: EventTrace,
-    graph: nx.Graph,
-    intervals: dict[int, tuple[int, int, int]] | None = None,
+    graph: Graph,
+    intervals: Intervals | None = None,
 ) -> AckReport:
     """Measure every broadcast's ack latency and neighbor coverage.
 
@@ -212,134 +314,138 @@ def measure_acknowledgments(
     :func:`broadcast_intervals` scan — callers measuring several
     quantities over one big trace (the experiment engine's per-trial
     result assembly) share one pass instead of rescanning per measure.
+    Records come in ascending mid order.
     """
     if intervals is None:
         intervals = broadcast_intervals(trace)
-    deliveries = _first_deliveries(trace)
-    acks = {
-        event.data: event.slot for event in trace if event.kind == "ack"
-    }
-    report = AckReport()
-    for mid, (origin, bcast_slot, _end) in sorted(intervals.items()):
-        ack_slot = acks.get(mid)
-        neighbors = [v for v in graph.neighbors(origin)]
-        if ack_slot is None:
-            covered = 0
-        else:
-            covered = sum(
-                1
-                for v in neighbors
-                if deliveries.get((v, mid), ack_slot + 1) <= ack_slot
-            )
-        report.records.append(
-            AckRecord(
-                mid=mid,
-                origin=origin,
-                bcast_slot=bcast_slot,
-                ack_slot=ack_slot,
-                neighbor_count=len(neighbors),
-                covered_by_ack=covered,
+    csr = _csr(graph)
+    columns = trace.columns()
+    mids, origins, starts, _ends = _interval_arrays(intervals)
+    acks = _rows_of(columns, ACK)
+    ack_mids, last = _last(columns.mid[acks])
+    hit = _find(ack_mids, mids)
+    acked = hit >= 0
+    ack_slots = np.zeros(len(mids), dtype=np.int64)
+    ack_slots[acked] = columns.slot[acks[last[hit[acked]]]]
+    rows = csr.positions(origins)
+    if (rows < 0).any():
+        missing = origins[rows < 0][0]
+        raise ValueError(f"broadcast origin {missing} is not a graph node")
+    # A neighbor covers an acked broadcast when its first rcv of the
+    # message came no later than the ack.  Keys are broadcast-major,
+    # so the neighbor entries query them in ascending order.
+    which = np.flatnonzero(acked)
+    owner, neighbors = _neighbor_entries(csr, rows[which])
+    owner = which[owner]
+    keys, first_slots = _first_deliveries(columns, csr, mids)
+    at = _find(keys, owner * len(csr) + neighbors)
+    got = at >= 0
+    got[got] = first_slots[at[got]] <= ack_slots[owner[got]]
+    covered = np.bincount(owner[got], minlength=len(mids))
+    ack_list = ack_slots.tolist()
+    for i in np.flatnonzero(~acked).tolist():
+        ack_list[i] = None
+    return AckReport(
+        list(
+            map(
+                AckRecord,
+                mids.tolist(),
+                origins.tolist(),
+                starts.tolist(),
+                ack_list,
+                csr.degrees[rows].tolist(),
+                covered.tolist(),
             )
         )
-    return report
+    )
 
 
 def _neighbor_origin_receptions(
-    trace: EventTrace, graph: nx.Graph
-) -> dict[int, list[int]]:
-    """node -> sorted slots of physical receptions of bcast-messages
-    originating at a G-neighbor of the node."""
-    receptions: dict[int, list[int]] = {}
-    # Raw adjacency-dict lookups instead of has_node/has_edge calls:
-    # physical receive events are the bulkiest trace kind (one per
-    # decode), so this scan is measurement's hottest loop on big
-    # populations and the Mapping-protocol wrappers around `graph.adj`
-    # cost more than the membership tests themselves.
-    adjacency = _plain_adjacency(graph)
-    for event in trace:
-        if event.kind != "receive":
-            continue
-        _sender, payload = event.data
-        if not isinstance(payload, BcastMessage):
-            continue
-        neighbors = adjacency.get(event.node)
-        if neighbors is None:
-            continue
-        if payload.origin == event.node:
-            continue
-        if payload.origin in neighbors:
-            receptions.setdefault(event.node, []).append(event.slot)
-    for slots in receptions.values():
-        slots.sort()
-    return receptions
-
-
-def _plain_adjacency(graph: nx.Graph) -> dict:
-    """The graph's node -> neighbor-dict mapping as plain dicts.
-
-    ``graph._adj`` is the stable networkx backing store (dict of
-    dicts); falling back to materializing ``graph.adj`` keeps exotic
-    graph subclasses working.
-    """
-    adjacency = getattr(graph, "_adj", None)
-    if isinstance(adjacency, dict):
-        return adjacency
-    return {node: dict(neighbors) for node, neighbors in graph.adj.items()}
+    trace: EventTrace, csr: CsrGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, slots)`` of the physical receptions of bcast-messages
+    originating at a G-neighbor of the receiver (graph rows of
+    ``csr``); self-receptions and receivers outside G do not count."""
+    columns = trace.columns()
+    receives = np.flatnonzero(
+        (columns.code == RECEIVE) & (columns.origin != ABSENT)
+    )
+    nodes = columns.node[receives]
+    origins = columns.origin[receives]
+    at = csr.positions(nodes)
+    sources = csr.positions(origins)
+    keep = (at >= 0) & (sources >= 0) & (origins != nodes)
+    keep[keep] = csr.has_edges(at[keep], sources[keep])
+    return at[keep], columns.slot[receives[keep]]
 
 
 def _measure_episodes(
     trace: EventTrace,
-    comm_graph: nx.Graph,
-    trigger_graph: nx.Graph,
-    intervals: dict[int, tuple[int, int, int]] | None = None,
+    comm_graph: Graph,
+    trigger_graph: Graph,
+    intervals: Intervals | None = None,
 ) -> ProgressReport:
     """Shared core of progress and approximate-progress measurement.
 
     An *episode* starts at the earliest slot at which some
     ``trigger_graph``-neighbor of v has an active broadcast; it is
     satisfied when v physically receives a bcast-message originating at a
-    ``comm_graph``-neighbor.  One episode per (receiver, broadcast) pair:
-    we take the earliest trigger per receiver for a conservative
-    measurement (longest exposure).
+    ``comm_graph``-neighbor.  One episode per receiver, from its
+    earliest trigger: a conservative measurement (longest exposure).
+    Records come in the trigger graph's node order.
     """
     if intervals is None:
         intervals = broadcast_intervals(trace)
-    receptions = _neighbor_origin_receptions(trace, comm_graph)
-    # Earliest broadcast start per origin, then one adjacency walk per
-    # receiver: min over a node's broadcasting neighbors equals the old
-    # min over every (interval, has_edge) pair, without the
-    # O(nodes × broadcasts) edge probes that dominated measurement on
-    # thousand-node all-broadcast sweeps.
-    earliest_start: dict[int, int] = {}
-    for origin, start, _end in intervals.values():
-        known = earliest_start.get(origin)
-        if known is None or start < known:
-            earliest_start[origin] = start
-    report = ProgressReport()
-    adjacency = _plain_adjacency(trigger_graph)
-    for v in trigger_graph.nodes:
-        triggers = [
-            earliest_start[u] for u in adjacency[v] if u in earliest_start
-        ]
-        if not triggers:
-            continue
-        start = min(triggers)
-        after = [s for s in receptions.get(v, []) if s >= start]
-        latency = (after[0] - start) if after else None
-        report.records.append(ProgressRecord(v, start, latency))
-    return report
+    comm = _csr(comm_graph)
+    trigger = _csr(trigger_graph)
+    _mids, origins, starts, _ends = _interval_arrays(intervals)
+    # Earliest broadcast start per origin, then the minimum over each
+    # receiver's neighbors.
+    earliest = np.full(len(trigger), _NEVER, dtype=np.int64)
+    at = trigger.positions(origins)
+    np.minimum.at(earliest, at[at >= 0], starts[at >= 0])
+    start = np.full(len(trigger), _NEVER, dtype=np.int64)
+    busy = trigger.degrees > 0
+    if busy.any():
+        start[busy] = np.minimum.reduceat(
+            earliest[trigger.indices], trigger.indptr[:-1][busy]
+        )
+    # First reception at or after each receiver's trigger.
+    rows, slots = _neighbor_origin_receptions(trace, comm)
+    receivers = trigger.positions(comm.nodes[rows])
+    keep = receivers >= 0
+    receivers, slots = receivers[keep], slots[keep]
+    after = slots >= start[receivers]
+    first = np.full(len(trigger), _NEVER, dtype=np.int64)
+    np.minimum.at(first, receivers[after], slots[after])
+    triggered = np.flatnonzero(start != _NEVER)
+    start, first = start[triggered], first[triggered]
+    latencies = (first - start).tolist()
+    for i in np.flatnonzero(first == _NEVER).tolist():
+        latencies[i] = None
+    return ProgressReport(
+        list(
+            map(
+                ProgressRecord,
+                trigger.nodes[triggered].tolist(),
+                start.tolist(),
+                latencies,
+            )
+        )
+    )
 
 
-def measure_progress(trace: EventTrace, graph: nx.Graph) -> ProgressReport:
+def measure_progress(trace: EventTrace, graph: Graph) -> ProgressReport:
     """Standard progress: trigger and reception both w.r.t. G."""
-    return _measure_episodes(trace, graph, graph)
+    csr = _csr(graph)
+    return _measure_episodes(trace, csr, csr)
 
 
 def measure_approximate_progress(
     trace: EventTrace,
-    comm_graph: nx.Graph,
-    approx_graph: nx.Graph,
-    intervals: dict[int, tuple[int, int, int]] | None = None,
+    comm_graph: Graph,
+    approx_graph: Graph,
+    intervals: Intervals | None = None,
 ) -> ProgressReport:
     """Definition 7.1: triggers in G̃, receptions from G-neighbors.
 
@@ -370,8 +476,8 @@ class EpochProgressReport:
 
 def measure_epoch_progress(
     trace: EventTrace,
-    comm_graph: nx.Graph,
-    approx_graph: nx.Graph,
+    comm_graph: Graph,
+    approx_graph: Graph,
     epoch_slots: int,
     first_epoch: int = 0,
 ) -> EpochProgressReport:
@@ -389,40 +495,68 @@ def measure_epoch_progress(
     if epoch_slots < 1:
         raise ValueError("epoch_slots must be >= 1")
     intervals = broadcast_intervals(trace)
-    receptions = _neighbor_origin_receptions(trace, comm_graph)
-    horizon = trace.last_slot() + 1
-    n_epochs = horizon // epoch_slots
+    comm = _csr(comm_graph)
+    approx = _csr(approx_graph)
+    n_epochs = (trace.last_slot() + 1) // epoch_slots
     report = EpochProgressReport()
-    for epoch in range(first_epoch, n_epochs):
-        start = epoch * epoch_slots
-        end = start + epoch_slots
-        epoch_trials = 0
-        epoch_successes = 0
-        for v in approx_graph.nodes:
-            covered = any(
-                approx_graph.has_edge(origin, v)
-                and bcast_start <= start
-                and bcast_end >= end
-                for origin, bcast_start, bcast_end in intervals.values()
-            )
-            if not covered:
-                continue
-            epoch_trials += 1
-            got = any(
-                start <= slot < end for slot in receptions.get(v, [])
-            )
-            if got:
-                epoch_successes += 1
-        report.trials += epoch_trials
-        report.successes += epoch_successes
-        report.per_epoch[epoch] = (epoch_successes, epoch_trials)
+    width = n_epochs - first_epoch  # epochs measured, from first_epoch
+    if width <= 0:
+        return report
+    # Epochs (counted from first_epoch) each broadcast covers whole:
+    # start <= e·E and end >= (e + 1)·E.
+    _mids, origins, starts, ends = _interval_arrays(intervals)
+    lo = np.maximum(-(-starts // epoch_slots), first_epoch) - first_epoch
+    hi = np.minimum(ends // epoch_slots, n_epochs) - 1 - first_epoch
+    at = approx.positions(origins)
+    keep = (at >= 0) & (lo <= hi)
+    owner, nodes = _neighbor_entries(approx, at[keep])
+    lo, hi = lo[keep][owner], hi[keep][owner]
+    # Merge each node's covering ranges: sorted by (node, lo), a range
+    # opens a new run unless it overlaps the running maximum before it.
+    # Keys node·span + epoch keep every node's runs apart.
+    span = width + 1
+    order = np.lexsort((lo, nodes))
+    nodes, lo, hi = nodes[order], lo[order], hi[order]
+    reach = np.maximum.accumulate(nodes * span + hi)
+    opens = np.ones(len(nodes), dtype=bool)
+    opens[1:] = nodes[1:] * span + lo[1:] > reach[:-1]
+    firsts = np.flatnonzero(opens)
+    run_node = nodes[firsts]
+    run_lo = lo[firsts]
+    closes = np.append(firsts[1:], len(nodes))[: len(firsts)] - 1
+    run_hi = reach[closes] - run_node * span
+    trials = np.cumsum(
+        np.bincount(run_lo, minlength=span)
+        - np.bincount(run_hi + 1, minlength=span)
+    )[:width]
+    # A trial succeeds on any in-epoch reception at its node.
+    rows, slots = _neighbor_origin_receptions(trace, comm)
+    receivers = approx.positions(comm.nodes[rows])
+    epochs = slots // epoch_slots - first_epoch
+    keep = (receivers >= 0) & (epochs >= 0) & (epochs < width)
+    heard = np.unique(receivers[keep] * span + epochs[keep])
+    run = np.searchsorted(run_node * span + run_lo, heard, side="right") - 1
+    node, epoch = heard // span, heard % span
+    inside = run >= 0
+    inside[inside] = (run_node[run[inside]] == node[inside]) & (
+        epoch[inside] <= run_hi[run[inside]]
+    )
+    successes = np.bincount(epoch[inside], minlength=width)[:width]
+    report.trials = int(trials.sum())
+    report.successes = int(successes.sum())
+    report.per_epoch = dict(
+        zip(
+            range(first_epoch, n_epochs),
+            zip(successes.tolist(), trials.tolist()),
+        )
+    )
     return report
 
 
 def check_contract(
     trace: EventTrace,
-    comm_graph: nx.Graph,
-    approx_graph: nx.Graph | None,
+    comm_graph: Graph,
+    approx_graph: Graph | None,
     contract: AbsMacContract,
 ) -> dict:
     """Check a trace against an :class:`AbsMacContract`.
@@ -432,7 +566,9 @@ def check_contract(
     meets ``1 − ε`` (these are statistical guarantees, so callers running
     few broadcasts should interpret fractions, not booleans).
     """
-    ack_report = measure_acknowledgments(trace, comm_graph)
+    comm = _csr(comm_graph)
+    intervals = broadcast_intervals(trace)
+    ack_report = measure_acknowledgments(trace, comm, intervals)
     ack_fraction = ack_report.success_fraction(contract.fack)
     summary = {
         "ack_report": ack_report,
@@ -441,7 +577,7 @@ def check_contract(
     }
     if contract.fapprog is not None and approx_graph is not None:
         prog_report = measure_approximate_progress(
-            trace, comm_graph, approx_graph
+            trace, comm, approx_graph, intervals
         )
         prog_fraction = prog_report.success_fraction(contract.fapprog)
         summary.update(

@@ -38,6 +38,7 @@ from repro.analysis.metrics import NetworkMetrics, metrics_from_graphs
 from repro.experiments.plans import DeploymentSpec
 from repro.geometry.points import PointSet, pairwise_distances
 from repro.sinr.graphs import (
+    CsrGraph,
     approx_connectivity_graph,
     strong_connectivity_graph,
 )
@@ -84,6 +85,10 @@ class DeploymentArtifacts:
         the power law every slot.
     graph / approx_graph:
         G_{1-ε} and G_{1-2ε} = G̃, both built from ``distances``.
+    graph_csr / approx_csr:
+        The same two graphs as :class:`~repro.sinr.graphs.CsrGraph`
+        arrays — what the trace measurements of :mod:`repro.core.spec`
+        read.
     metrics:
         The paper's parameters (n, Δ, D, Λ) for this deployment.
     """
@@ -94,6 +99,8 @@ class DeploymentArtifacts:
     gains: np.ndarray
     graph: nx.Graph
     approx_graph: nx.Graph
+    graph_csr: CsrGraph
+    approx_csr: CsrGraph
     metrics: NetworkMetrics
 
 
@@ -175,6 +182,12 @@ class ArtifactCache:
             gains=gains,
             graph=strong,
             approx_graph=approx,
+            graph_csr=CsrGraph.from_distances(
+                distances, strong.graph["radius"]
+            ),
+            approx_csr=CsrGraph.from_distances(
+                distances, approx.graph["radius"]
+            ),
             metrics=metrics_from_graphs(len(points), strong, approx),
         )
         self._artifacts[key] = built

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from repro.absmac.layer import MacClient
 from repro.protocols.bmmb import BmmbClient
 from repro.protocols.bsmb import BsmbClient
@@ -181,8 +183,11 @@ class LocalBroadcastWorkload(Workload):
         return True
 
     def vector_start(self, runtime, trial: int, plan) -> None:
-        for node in self.vector_broadcasters(runtime, plan):
-            runtime.bcast(trial, node, payload=f"payload-{node}")
+        nodes = list(self.vector_broadcasters(runtime, plan))
+        runtime.bcast_cells(
+            trial * runtime.n + np.asarray(nodes, dtype=np.intp),
+            [f"payload-{node}" for node in nodes],
+        )
 
     def vector_done(self, runtime, trial: int, plan) -> bool:
         broadcasters = (
@@ -234,8 +239,11 @@ class FixedSlotsWorkload(Workload):
         return plan.option("slots") is not None
 
     def vector_start(self, runtime, trial: int, plan) -> None:
-        for node in self.vector_broadcasters(runtime, plan):
-            runtime.bcast(trial, node, payload=f"m{node}")
+        nodes = list(self.vector_broadcasters(runtime, plan))
+        runtime.bcast_cells(
+            trial * runtime.n + np.asarray(nodes, dtype=np.intp),
+            [f"m{node}" for node in nodes],
+        )
 
     def vector_done(self, runtime, trial: int, plan) -> bool:
         return True  # unreachable: the fixed target drives completion

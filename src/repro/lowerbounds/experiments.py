@@ -8,18 +8,21 @@ the benchmarks and tests can compare them against the predicted
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.approx_progress import (
     ApproxProgressConfig,
     ApproxProgressMacLayer,
     EpochSchedule,
 )
 from repro.core.decay import DecayConfig, DecayMacLayer
-from repro.core.events import BcastMessage, MessageRegistry
+from repro.core.events import MessageRegistry
 from repro.lowerbounds.constructions import (
     DecayLowerBoundNetwork,
     ProgressLowerBoundNetwork,
 )
 from repro.simulation.runtime import Runtime, RuntimeConfig
+from repro.simulation.trace import ABSENT, RECEIVE
 
 __all__ = [
     "optimal_schedule_progress",
@@ -96,8 +99,6 @@ def power_controlled_progress(
     at all other receivers by the same factor.  At most one pair per
     slot succeeds, so f_prog >= Δ survives power control.
     """
-    import numpy as np
-
     from repro.sinr.physics import successful_receptions
 
     if concurrency < 2:
@@ -138,15 +139,22 @@ def power_controlled_progress(
 
 
 def _first_b1_progress_slot(runtime: Runtime, network) -> int | None:
-    """Slot of the first physical bcast-message reception inside B1."""
-    for event in runtime.trace:
-        if event.kind != "receive" or event.node not in network.b1_nodes:
-            continue
-        _sender, payload = event.data
-        if isinstance(payload, BcastMessage) and network.graph.has_edge(
-            payload.origin, event.node
-        ):
-            return event.slot
+    """Slot of the first physical bcast-message reception inside B1
+    from a G-neighbor (read off the trace's columns: the done-predicate
+    polls this every few slots)."""
+    columns = runtime.trace.columns()
+    rows = np.flatnonzero(
+        (columns.code == RECEIVE)
+        & (columns.origin != ABSENT)
+        & np.isin(columns.node, list(network.b1_nodes))
+    )
+    for node, origin, slot in zip(
+        columns.node[rows].tolist(),
+        columns.origin[rows].tolist(),
+        columns.slot[rows].tolist(),
+    ):
+        if network.graph.has_edge(origin, node):
+            return slot
     return None
 
 

@@ -38,6 +38,7 @@ import os
 from pathlib import Path
 
 from repro.native.build import SOURCE, TARGET, build
+from repro.simulation.trace import ACK, RCV, WAKE
 
 __all__ = [
     "available",
@@ -56,9 +57,12 @@ __all__ = [
 
 # Event-row codes and width of the C event sink: each row is
 # [trial, slot, code, node, mid, sender]; only rcv rows carry a sender.
-EV_ACK = 0
-EV_WAKE = 1
-EV_RCV = 2
+# The codes are the trace's own kind codes (the EV_* enum in _advance.c
+# repeats them), so the drain appends kernel rows to the event log
+# without translating kinds.
+EV_ACK = ACK
+EV_WAKE = WAKE
+EV_RCV = RCV
 EV_COLS = 6
 
 # Most kernel threads one call runs (the MAX_THREADS enum in

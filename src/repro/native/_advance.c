@@ -132,7 +132,7 @@ typedef struct {
     _Atomic long error;
 } repro_state;
 
-enum { EV_ACK = 0, EV_WAKE = 1, EV_RCV = 2 };
+enum { EV_ACK = 0, EV_WAKE = 1, EV_RCV = 2 }; /* trace kind codes */
 enum { EV_COLS = 6 }; /* columns per event row */
 enum { MAX_THREADS = 64 }; /* mirrored as repro.native.MAX_THREADS */
 

@@ -18,16 +18,21 @@ scratch blocks once, and on every call
    ended, and folds the counter accumulators into each trial's
    channel.
 
+The kernel's ``[trial, slot, code, node, mid, sender]`` event rows are
+the event log's own bulk format (its codes are the trace's kind
+codes), so no event is ever turned into a Python object here.
 Adapter-free batches run the whole stride in as few calls as the event
-sink allows and drain the events straight into the per-trial
-:class:`~repro.simulation.trace.EventTrace` objects.  With a protocol
-adapter attached (BSMB / BMMB / consensus clients), client reactions
-may start broadcasts between any two slots, so the kernel runs one slot
-per call and the slot's events replay through the runtime's own slot
-phases before the next call, in the numpy step's order: acks and
-``on_ack`` (rebroadcasts staged), wakes and ``on_wake``, rcvs and
-``on_rcv`` (each rcv row carries its decoded sender), then the end of
-slot (acked detach, staged attach, ``flush``, slot counters).
+sink allows and append each call's rows to the per-trial
+:class:`~repro.simulation.trace.EventTrace` objects as one slice per
+trial.  With a protocol adapter attached (BSMB / BMMB / consensus
+clients), client reactions may start broadcasts between any two slots,
+so the kernel runs one slot per call and the slot's rows replay through
+the runtime's own slot phases before the next call, in the numpy
+step's order: acks and ``on_ack`` (rebroadcasts staged), wakes and
+``on_wake``, rcvs and ``on_rcv`` (each rcv row carries its decoded
+sender), then the end of slot (acked detach, staged attach, ``flush``,
+slot counters).  Each phase appends its slice of the slot's rows to the
+traces before the reactions run.
 
 The runtime builds a stepper only when its eligibility probe passes
 (counters-only, adversary-free, deterministic static physics — dense,
@@ -51,11 +56,9 @@ from repro.native import (
     NativeState,
     load,
 )
-from repro.simulation.trace import TraceEvent
+from repro.simulation.trace import append_trial_rows
 
 __all__ = ["NativeStepper"]
-
-_EVENT_KINDS = {EV_ACK: "ack", EV_WAKE: "wake", EV_RCV: "rcv"}
 
 
 def _ptr(array: np.ndarray | None):
@@ -192,16 +195,18 @@ class NativeStepper:
             # event segment filled: drain it and re-enter.
             while True:
                 self._drain_events(self._call())
-                if not self._unfinished(row_idx):
+                if not self._unfinished():
                     break
             slots = self._trial_slots.tolist()
             for t in rows:
                 runtime.slots[t] = slots[t]
         else:
-            for _ in range(k):
-                self._set_targets(row_idx, 1)
+            self._set_targets(row_idx, 1)
+            for step in range(k):
+                if step:  # C and the replay moved every row one slot on
+                    self._trial_target[row_idx] += 1
                 segments = self._call()
-                if self._unfinished(row_idx):
+                if self._unfinished():
                     raise RuntimeError("native kernel returned mid-slot")
                 # Segments come in ascending trial-range order and each
                 # holds whole slots, so the rows are already in trial
@@ -218,10 +223,9 @@ class NativeStepper:
         self._trial_target[:] = self._trial_slots
         self._trial_target[row_idx] += k
 
-    def _unfinished(self, row_idx: np.ndarray) -> bool:
-        return bool(
-            (self._trial_slots[row_idx] < self._trial_target[row_idx]).any()
-        )
+    def _unfinished(self) -> bool:
+        """Is a row short of its target?  (Other trials sit at theirs.)"""
+        return bool((self._trial_slots < self._trial_target).any())
 
     def _call(self) -> list[np.ndarray]:
         """One kernel call; the event rows it wrote, one array per
@@ -244,45 +248,49 @@ class NativeStepper:
         ]
 
     def _drain_events(self, segments: list[np.ndarray]) -> None:
-        """Append the C event records to the per-trial traces.
+        """Append the C event rows to the per-trial traces in bulk.
 
         Segments drain in thread order — ascending contiguous trial
-        ranges — and a trial's events always land in the same segment,
-        so each trial's event stream is in slot order regardless of
-        thread count or how many calls the stride took.  Ack events
-        also detach the acked broadcast from ``_current`` (adapter-free
-        batches never rebroadcast mid-advance, so the message at drain
-        time is the message that acked)."""
+        ranges — and a thread runs its trials one after another, so
+        the rows of one call are trial-major and each trial's rows are
+        in slot order, whatever the thread count or however many calls
+        the stride took: each trace receives one slice per call.  Ack
+        rows also detach the acked broadcast from ``_current``
+        (adapter-free batches never rebroadcast mid-advance, so the
+        message at drain time is the message that acked)."""
+        if not segments:
+            return
+        events = np.concatenate(segments)
         runtime = self._runtime
-        traces = runtime.traces
+        append_trial_rows(runtime.traces, events)
         current = runtime._current
-        make = TraceEvent._make
-        for segment in segments:
-            for trial, slot, code, node, mid, _sender in segment.tolist():
-                kind = _EVENT_KINDS[code]
-                data = None if code == EV_WAKE else mid
-                traces[trial].events.append(make((slot, kind, node, data)))
-                if code == EV_ACK:
-                    current[trial][node] = None
+        for trial, node in events[events[:, 2] == EV_ACK][:, [0, 3]].tolist():
+            current[trial][node] = None
 
     def _replay(self, events: np.ndarray, rows: list[int]) -> None:
         """Finish one slot the C kernel ran, through the runtime's slot
         phases in the numpy step's order (acks and their reactions,
-        wakes, rcvs, end of slot)."""
+        wakes, rcvs, end of slot).  Most slots carry no event or only
+        rcvs, and skip the per-kind split."""
         runtime = self._runtime
-        n = runtime.n
-        codes = events[:, 2]
-        cells = events[:, 0] * n + events[:, 3]
-        woken = cells[codes == EV_WAKE]
-        # The numpy step decides wakeups after the ack reactions (a
-        # rebroadcast may wake a cell first): hand the cells C woke
-        # back asleep and let the wake phase redo it.
-        runtime._awake[woken] = False
-        acked = runtime._ack_phase(cells[codes == EV_ACK])
-        runtime._wake_phase(woken)
-        rcv = events[codes == EV_RCV]
-        base = rcv[:, 0] * n
-        runtime._rcv_phase(base + rcv[:, 3], base + rcv[:, 5], rcv[:, 4])
+        acked = []
+        if len(events):
+            base = events[:, 0] * runtime.n
+            cells = base + events[:, 3]
+            codes = events[:, 2]
+            if codes.min() != EV_RCV:
+                wakes = codes == EV_WAKE
+                woken = cells[wakes]
+                # The numpy step decides wakeups after the ack reactions
+                # (a rebroadcast may wake a cell first): hand the cells
+                # C woke back asleep and let the wake phase redo it.
+                runtime._awake[woken] = False
+                acks = codes == EV_ACK
+                acked = runtime._ack_phase(cells[acks], events[acks])
+                runtime._wake_phase(woken, events[wakes])
+                rcvs = codes == EV_RCV
+                events, base, cells = events[rcvs], base[rcvs], cells[rcvs]
+            runtime._rcv_phase(cells, base + events[:, 5], events[:, 4], events)
         runtime._end_slot(rows, acked)
 
     def _sync_counters(self, rows: list[int]) -> None:

@@ -7,10 +7,14 @@ connectivity graph* ``G_{1-ε}``; approximate progress is measured against
 be overheard.
 
 These graphs drive all of the analysis-side quantities: degree Δ, diameter
-D, and the length ratio Λ.
+D, and the length ratio Λ.  :class:`CsrGraph` holds the same adjacency
+as arrays for the trace measurements of :mod:`repro.core.spec`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import networkx as nx
@@ -19,6 +23,7 @@ from repro.geometry.points import PointSet, pairwise_distances
 from repro.sinr.params import SINRParameters
 
 __all__ = [
+    "CsrGraph",
     "induced_graph",
     "strong_connectivity_graph",
     "weak_connectivity_graph",
@@ -62,6 +67,103 @@ def induced_graph(
     for i, j in zip(*np.nonzero(upper)):
         graph.add_edge(int(i), int(j), length=float(distances[i, j]))
     return graph
+
+
+@dataclass(frozen=True, eq=False)
+class CsrGraph:
+    """Adjacency of an undirected graph as CSR arrays.
+
+    Row ``i`` belongs to node ``nodes[i]`` (int labels, in the graph's
+    node order); its neighbours are the positions
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending.  The deployment
+    artifacts build G_{1-ε} and G̃ this way from their distance matrix
+    (:meth:`from_distances`, labels ``0..n-1``); any ``nx.Graph`` with
+    integer labels converts through :meth:`from_graph`.
+    """
+
+    nodes: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_distances(cls, distances: np.ndarray, radius: float) -> CsrGraph:
+        """``G_a`` over labels ``0..n-1``: the edges of
+        :func:`induced_graph` at ``radius``, read from the same upper
+        triangle."""
+        n = len(distances)
+        lo, hi = np.nonzero(np.triu(distances <= radius, k=1))
+        rows = np.concatenate([lo, hi])
+        cols = np.concatenate([hi, lo])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        order = np.argsort(rows * n + cols, kind="stable")
+        return cls(np.arange(n), indptr, cols[order].astype(np.int64))
+
+    @classmethod
+    def from_graph(cls, graph: nx.Graph) -> CsrGraph:
+        """The adjacency of ``graph`` (self-loops included)."""
+        labels = list(graph)
+        if not all(
+            type(v) is int or isinstance(v, np.integer) for v in labels
+        ):
+            raise TypeError("CsrGraph needs integer node labels")
+        index = {v: i for i, v in enumerate(labels)}
+        adj = graph.adj
+        sizes = [len(adj[v]) for v in labels]
+        rows = np.repeat(np.arange(len(labels)), sizes)
+        cols = np.fromiter(
+            (index[u] for v in labels for u in adj[v]),
+            dtype=np.int64,
+            count=int(sum(sizes)),
+        )
+        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        order = np.lexsort((cols, rows))
+        return cls(np.array(labels, dtype=np.int64), indptr, cols[order])
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Neighbour count of every row."""
+        return np.diff(self.indptr)
+
+    @cached_property
+    def _label_order(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(sorted labels, their rows)``; None when label == row."""
+        if np.array_equal(self.nodes, np.arange(len(self.nodes))):
+            return None
+        order = np.argsort(self.nodes, kind="stable")
+        return self.nodes[order], order
+
+    def positions(self, labels: np.ndarray) -> np.ndarray:
+        """Row of each label, -1 where the label is not a node."""
+        labels = np.asarray(labels, dtype=np.int64)
+        lookup = self._label_order
+        if lookup is None:
+            inside = (labels >= 0) & (labels < len(self.nodes))
+            return np.where(inside, labels, -1)
+        ordered, rows = lookup
+        if not len(ordered):
+            return np.full(labels.shape, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(ordered, labels), len(ordered) - 1)
+        return np.where(ordered[at] == labels, rows[at], -1)
+
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        """``row · n + column`` of every stored entry, ascending."""
+        rows = np.repeat(np.arange(len(self.nodes)), self.degrees)
+        return rows * len(self.nodes) + self.indices
+
+    def has_edges(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether each ``(rows[i], cols[i])`` row pair is an edge."""
+        keys = self._edge_keys
+        if not len(keys):
+            return np.zeros(len(rows), dtype=bool)
+        wanted = rows * len(self.nodes) + cols
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return keys[at] == wanted
 
 
 def strong_connectivity_graph(

@@ -194,9 +194,9 @@ def run_vector_group(
         trace = runtime.traces[st.row]
         channel = channels[st.row]
         intervals = broadcast_intervals(trace)
-        ack = measure_acknowledgments(trace, art.graph, intervals)
+        ack = measure_acknowledgments(trace, art.graph_csr, intervals)
         approg = measure_approximate_progress(
-            trace, art.graph, art.approx_graph, intervals
+            trace, art.graph_csr, art.approx_csr, intervals
         )
         metrics = art.metrics
         return TrialResult(

@@ -26,6 +26,11 @@ interleaves events node by node, while this runtime records each slot's
 events grouped by kind (all transmits, then acks, then the delivery
 events) — within one kind the order is identical, and every
 measurement in :mod:`repro.core.spec` is ordering-free within a slot.
+The MAC events (ack / wake / rcv / bcast) reach the traces as event-log
+rows appended per trial in bulk — built here by the numpy step, or the
+C kernel's own rows on the native path — and only the physical
+transmit / receive events, whose data are payload objects, are recorded
+one by one.
 
 Scope: homogeneous populations — every node runs the same Decay/Ack
 protocol.  Bare ``MacClient`` populations (the Table-1 and Theorem-8.1
@@ -55,7 +60,17 @@ from repro.simulation.rng import (
     pcg64_columns,
     spawn_node_rngs,
 )
-from repro.simulation.trace import EventTrace, TraceEvent
+from repro.simulation.trace import (
+    ABSENT,
+    ACK,
+    BCAST,
+    RCV,
+    ROW,
+    WAKE,
+    EventTrace,
+    append_trial_rows,
+    event_rows,
+)
 from repro.sinr.channel import Channel
 from repro.sinr.physics import batch_tensor, successful_receptions_batch
 
@@ -315,56 +330,66 @@ class VectorRuntime:
             self.traces[trial].record(self.slots[trial], "wake", node)
 
     def bcast(self, trial: int, node: int, payload: Any = None) -> BcastMessage:
-        """Begin a local broadcast at the node, as MacLayer.bcast.
+        """Begin a local broadcast at the node, as MacLayer.bcast (the
+        one-cell form of :meth:`bcast_cells`)."""
+        cell = np.array([trial * self._n + node], dtype=np.intp)
+        return self.bcast_cells(cell, [payload])[0]
+
+    def bcast_cells(
+        self, cells: np.ndarray, payloads: Sequence[Any]
+    ) -> list[BcastMessage]:
+        """Begin one local broadcast per cell (``payloads`` aligned).
 
         A node may broadcast again once its previous broadcast acked;
         every new broadcast resets the cell's kernel state to a fresh
         engine (the object MACs construct a fresh ``Engine`` per
-        broadcast).  Requests arriving while this slot's transmissions
-        resolve (phase 1: ack-triggered rebroadcasts) stage the
-        in-flight message swap until after delivery.
+        broadcast), one batched ``kernel.reset`` for all of them.
+        Requests arriving while this slot's transmissions resolve
+        (phase 1: ack-triggered rebroadcasts) stage the in-flight
+        message swap until after delivery.  Messages are minted per
+        cell in the given order, and each trace gets the cells' events
+        — a sleeping cell's wake, then its bcast — as one block of rows.
         """
-        cell = trial * self._n + node
-        self._check_idle(cell)
-        if self._has_broadcast[cell]:
-            self.kernel.reset(np.array([cell], dtype=np.intp))
-        return self._begin_broadcast(cell, payload)
-
-    def bcast_cells(self, cells: np.ndarray, payloads: Sequence[Any]) -> None:
-        """Population form of :meth:`bcast` (``payloads`` cell-aligned).
-
-        One batched ``kernel.reset`` serves every rebroadcasting cell;
-        messages are minted and traced per cell in the given order.
-        """
-        busy = self._busy[cells]
-        if busy.any():
-            self._check_idle(int(cells[busy][0]))
-        reset_cells = cells[self._has_broadcast[cells]]
-        if reset_cells.size:
-            self.kernel.reset(reset_cells)
-        for cell, payload in zip(cells.tolist(), payloads):
-            self._begin_broadcast(cell, payload)
-
-    def _check_idle(self, cell: int) -> None:
-        if self._busy[cell]:
-            trial, node = divmod(cell, self._n)
+        ordered = np.sort(cells)
+        taken = np.concatenate(  # a repeated cell's second bcast finds it busy
+            [cells[self._busy[cells]], ordered[1:][ordered[1:] == ordered[:-1]]]
+        )
+        if taken.size:
+            trial, node = divmod(int(taken[0]), self._n)
             raise RuntimeError(
                 f"node {node} of trial {trial} is already broadcasting"
             )
-
-    def _begin_broadcast(self, cell: int, payload: Any) -> BcastMessage:
-        """Mint, trace and arm one broadcast (cell idle, kernel reset)."""
-        trial, node = divmod(cell, self._n)
-        message = self.registries[trial].mint(node, payload)
-        self.wake_node(trial, node)
-        self._has_broadcast[cell] = True
-        self._busy[cell] = True
-        if self._in_phase1:
-            self._staged_current.append((trial, node, message))
-        else:
-            self._attach_message(trial, node, message)
-        self.traces[trial].record(self.slots[trial], "bcast", node, message.mid)
-        return message
+        reset_cells = cells[self._has_broadcast[cells]]
+        if reset_cells.size:
+            self.kernel.reset(reset_cells)
+        n = self._n
+        trials = cells // n
+        nodes = cells - trials * n
+        placed = list(zip(trials.tolist(), nodes.tolist()))
+        messages = [
+            self.registries[t].mint(node, payload)
+            for (t, node), payload in zip(placed, payloads)
+        ]
+        asleep = ~self._awake[cells]
+        self._awake[cells] = True
+        self._has_broadcast[cells] = True
+        self._busy[cells] = True
+        for (t, node), message in zip(placed, messages):
+            if self._in_phase1:
+                self._staged_current.append((t, node, message))
+            else:
+                self._attach_message(t, node, message)
+        at = np.arange(len(cells)) + np.cumsum(asleep)  # each bcast row
+        woke = at[asleep] - 1
+        rows = np.empty((len(at) + len(woke), len(ROW)), dtype=np.int64)
+        rows[at] = self._event_rows(
+            trials, BCAST, nodes, [message.mid for message in messages]
+        )
+        rows[woke] = self._event_rows(trials[asleep], WAKE, nodes[asleep])
+        append_trial_rows(
+            self.traces, rows[np.argsort(rows[:, 0], kind="stable")]
+        )
+        return messages
 
     def _attach_message(
         self, trial: int, node: int, message: BcastMessage
@@ -438,7 +463,6 @@ class VectorRuntime:
         tx_trial = tx_cells // n
         tx_node = tx_cells - tx_trial * n
         bounds = np.searchsorted(tx_trial, np.arange(trials + 1))
-        make = TraceEvent._make  # tuple.__new__, ~4x cheaper per event
         tx_ids: list[np.ndarray] = [_EMPTY_IDS] * trials
         for t in rows:
             lo, hi = bounds[t], bounds[t + 1]
@@ -448,12 +472,10 @@ class VectorRuntime:
             tx_ids[t] = nodes
             if self.record_physical:
                 current = self._current[t]
-                events = self.traces[t].events
+                record = self.traces[t].record
                 slot = self.slots[t]
                 for node in nodes.tolist():
-                    events.append(
-                        make((slot, "transmit", node, current[node]))
-                    )
+                    record(slot, "transmit", node, current[node])
 
         acked = self._ack_phase(ack_cells)
 
@@ -577,28 +599,23 @@ class VectorRuntime:
                     if lo == hi:
                         continue
                     current = self._current[t]
-                    events = self.traces[t].events
+                    record = self.traces[t].record
                     delivered = self._delivered[t]
-                    record = self.record_physical
+                    physical = self.record_physical
                     base = t * n
                     for listener, sender in zip(
                         hit_listener[lo:hi].tolist(),
                         hit_sender[lo:hi].tolist(),
                     ):
                         payload = current[sender]
-                        if record:
-                            events.append(
-                                make(
-                                    (slot, "receive", listener,
-                                     (sender, payload))
-                                )
+                        if physical:
+                            record(
+                                slot, "receive", listener, (sender, payload)
                             )
                         key = (listener, payload.mid)
                         if payload.origin != listener and key not in delivered:
                             delivered.add(key)
-                            events.append(
-                                make((slot, "rcv", listener, payload.mid))
-                            )
+                            record(slot, "rcv", listener, payload.mid)
                             if adapter is not None:
                                 rcv_cells.append(base + listener)
                                 rcv_senders.append(base + sender)
@@ -619,7 +636,9 @@ class VectorRuntime:
     # events through these four phases in this order, so the staging
     # rules live in one place.
 
-    def _ack_phase(self, cells: np.ndarray) -> list[tuple[int, int, BcastMessage]]:
+    def _ack_phase(
+        self, cells: np.ndarray, rows: np.ndarray | None = None
+    ) -> list[tuple[int, int, BcastMessage]]:
         """Acknowledge the ascending ``cells`` whose broadcasts ended.
 
         Acks fire in the slot the budget runs out, with the final
@@ -631,17 +650,26 @@ class VectorRuntime:
         the object runtime's phase-1 node loop; any rebroadcast they
         request stages its message swap until after delivery.  Returns
         the acked ``(trial, node, message)`` triples.
+
+        ``rows`` (here and in the other phases) are the cells' event
+        rows (:data:`~repro.simulation.trace.ROW`) when the caller
+        already holds them, aligned with ``cells``: the native replay
+        passes the kernel's own rows.
         """
         if not cells.size:
             return []
         n = self._n
         self._busy[cells] = False
         trials = cells // n
-        acked = []
-        for t, node in zip(trials.tolist(), (cells - trials * n).tolist()):
-            message = self._current[t][node]
-            acked.append((t, node, message))
-            self.traces[t].record(self.slots[t], "ack", node, message.mid)
+        nodes = cells - trials * n
+        acked = [
+            (t, node, self._current[t][node])
+            for t, node in zip(trials.tolist(), nodes.tolist())
+        ]
+        if rows is None:
+            mids = [message.mid for *_, message in acked]
+            rows = self._event_rows(trials, ACK, nodes, mids)
+        append_trial_rows(self.traces, rows)
         if self.adapter is not None:
             self._in_phase1 = True
             try:
@@ -650,39 +678,50 @@ class VectorRuntime:
                 self._in_phase1 = False
         return acked
 
-    def _wake_phase(self, cells: np.ndarray) -> None:
+    def _wake_phase(
+        self, cells: np.ndarray, rows: np.ndarray | None = None
+    ) -> None:
         """Conditional wakeup (Definition 4.4): the sleeping cells among
         this slot's decoding listeners wake, in delivery order, and the
         adapter hears of them."""
-        woken = cells[~self._awake[cells]]
+        asleep = ~self._awake[cells]
+        woken = cells[asleep]
         if not woken.size:
             return
         self._awake[woken] = True
-        n = self._n
-        trials = woken // n
-        for t, node in zip(trials.tolist(), (woken - trials * n).tolist()):
-            self.traces[t].record(self.slots[t], "wake", node)
+        if rows is None:
+            trials = woken // self._n
+            rows = self._event_rows(trials, WAKE, woken - trials * self._n)
+        else:
+            rows = rows[asleep]
+        append_trial_rows(self.traces, rows)
         if self.adapter is not None:
             self.adapter.on_wake(woken)
 
     def _rcv_phase(
-        self, cells: np.ndarray, sender_cells: np.ndarray, mids: np.ndarray
+        self,
+        cells: np.ndarray,
+        sender_cells: np.ndarray,
+        mids: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> None:
         """Trace this slot's first deliveries (delivery order) as rcv
         events and hand them to the adapter."""
         if not cells.size:
             return
-        n = self._n
-        trials = cells // n
-        make = TraceEvent._make  # tuple.__new__, ~4x cheaper per event
-        slots = self.slots
-        traces = self.traces
-        for t, node, mid in zip(
-            trials.tolist(), (cells - trials * n).tolist(), mids.tolist()
-        ):
-            traces[t].events.append(make((slots[t], "rcv", node, mid)))
+        if rows is None:
+            trials = cells // self._n
+            rows = self._event_rows(trials, RCV, cells - trials * self._n, mids)
+        append_trial_rows(self.traces, rows)
         if self.adapter is not None:
             self.adapter.on_rcv(cells, sender_cells)
+
+    def _event_rows(
+        self, trials: np.ndarray, code: int, nodes: np.ndarray, mids=ABSENT
+    ) -> np.ndarray:
+        """Event rows of one kind, each at its trial's current slot."""
+        slots = np.asarray(self.slots, dtype=np.int64)[trials]
+        return event_rows(trials, slots, code, nodes, mids)
 
     def _end_slot(
         self, rows: Sequence[int], acked: list[tuple[int, int, BcastMessage]]
@@ -751,9 +790,7 @@ class VectorRuntime:
             for listener, (sender, payload) in outcome.receptions.items():
                 cell = base + listener
                 if self.record_physical:
-                    trace.events.append(
-                        TraceEvent(slot, "receive", listener, (sender, payload))
-                    )
+                    trace.record(slot, "receive", listener, (sender, payload))
                 key = (listener, payload.mid)
                 if payload.origin != listener and key not in delivered:
                     delivered.add(key)

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.geometry.deployment import grid_deployment, uniform_disk
 from repro.geometry.points import PointSet
 from repro.sinr.params import SINRParameters
+
+# Property tests replay the same examples on every run; CI adds a pass
+# with a larger budget (`pytest --hypothesis-profile=ci`) for the tests
+# that leave max_examples to the profile.
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.register_profile("ci", settings.get_profile("default"), max_examples=1000)
+settings.load_profile("default")
 
 
 @pytest.fixture

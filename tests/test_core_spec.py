@@ -235,6 +235,16 @@ class TestContract:
         with pytest.raises(ValueError):
             AbsMacContract(fack=10, eps_ack=0.1, fapprog=5.0)
 
+    @pytest.mark.parametrize(
+        "fapprog, eps_approg",
+        [(-5, 7.0), (0, 0.1), (-5, 0.1), (5.0, 7.0), (5.0, 0.0), (5.0, 1.0)],
+    )
+    def test_approx_progress_pair_validated(self, fapprog, eps_approg):
+        with pytest.raises(ValueError):
+            AbsMacContract(
+                fack=10, eps_ack=0.1, fapprog=fapprog, eps_approg=eps_approg
+            )
+
     def test_check_contract_passing(self):
         g = path3()
         trace = trace_with(
