@@ -5,9 +5,9 @@ Paper claim: approximate progress completes in
 the degree Δ** (contrast Theorem 6.1's f_prog >= Δ) and polylogarithmic
 in Λ.
 
-Two sweeps on Algorithm 9.1 alone, run through the experiment engine.
-Algorithm 9.1 has no columnar kernel, so every trial runs on the object
-path, one trial at a time, over the engine's shared artifact cache:
+Two sweeps on Algorithm 9.1 alone, run through the experiment engine
+on its columnar Algorithm 9.1 kernel (one batch per node count), over
+the engine's shared artifact cache:
 
 1. **Δ-sweep**: fixed-area disks with growing population.  Δ triples;
    measured f_approg must stay (nearly) flat — the separation that

@@ -55,6 +55,7 @@ from repro.topology import TopologyProvider
 __all__ = [
     "StackBundle",
     "default_ack_config",
+    "default_approg_config",
     "default_decay_config",
     "build_combined_stack",
     "build_decay_stack",
@@ -107,6 +108,20 @@ def default_ack_config(lam: float, eps_ack: float) -> AckConfig:
     return AckConfig(
         contention_bound=SINRParameters.max_contention_bound(max(lam, 2.0)),
         eps_ack=eps_ack,
+    )
+
+
+def default_approg_config(
+    lam: float, eps_approg: float, alpha: float
+) -> ApproxProgressConfig:
+    """The paper-formula Algorithm 9.1 default: the measured Λ stands in
+    for the known bound on Λ, and α is the channel's path-loss exponent.
+
+    Shared with the columnar fast path exactly like
+    :func:`default_ack_config`.
+    """
+    return ApproxProgressConfig(
+        lambda_bound=max(lam, 2.0), eps_approg=eps_approg, alpha=alpha
     )
 
 
@@ -194,14 +209,11 @@ def build_combined_stack(
     Configs default to the paper formulas evaluated at the deployment's
     measured Λ (standing in for the "known polynomial bound on Λ").
     """
-    metrics = deployment_artifacts(points, params, cache).metrics
-    lam = max(metrics.lam, 2.0)
+    lam = deployment_artifacts(points, params, cache).metrics.lam
     if ack_config is None:
         ack_config = default_ack_config(lam, eps_ack)
     if approg_config is None:
-        approg_config = ApproxProgressConfig(
-            lambda_bound=lam, eps_approg=eps_approg, alpha=params.alpha
-        )
+        approg_config = default_approg_config(lam, eps_approg, params.alpha)
     schedule = EpochSchedule(approg_config)
 
     def factory(i: int, reg: MessageRegistry, client: MacClient):
@@ -257,12 +269,9 @@ def build_approg_stack(
     cache: ArtifactCache | None = None,
 ) -> StackBundle:
     """Algorithm 9.1 alone (the Theorem 9.1 object of study)."""
-    metrics = deployment_artifacts(points, params, cache).metrics
-    lam = max(metrics.lam, 2.0)
     if approg_config is None:
-        approg_config = ApproxProgressConfig(
-            lambda_bound=lam, eps_approg=eps_approg, alpha=params.alpha
-        )
+        lam = deployment_artifacts(points, params, cache).metrics.lam
+        approg_config = default_approg_config(lam, eps_approg, params.alpha)
     schedule = EpochSchedule(approg_config)
 
     def factory(i: int, reg: MessageRegistry, client: MacClient):

@@ -79,8 +79,14 @@ class AckConfig:
             raise ValueError("contention_bound must be >= 1")
         if not 0.0 < self.eps_ack < 1.0:
             raise ValueError("eps_ack must be in (0, 1)")
-        for name in ("delta", "gamma_prime", "rc_factor"):
-            if getattr(self, name) <= 0:
+        for name in (
+            "delta",
+            "gamma_prime",
+            "rc_factor",
+            "fallback_divisor",
+            "floor_divisor",
+        ):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.prob_cap <= 0.5:
             raise ValueError("prob_cap must be in (0, 1/2]")

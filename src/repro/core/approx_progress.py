@@ -116,6 +116,9 @@ class ApproxProgressConfig:
             raise ValueError("mu must be in (0, p)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
+        for name in ("phi_scale", "t_scale", "q_scale", "bcast_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     # -- derived parameters (paper formulas) ------------------------------
 

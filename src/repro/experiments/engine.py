@@ -9,17 +9,17 @@ object path
     One trial at a time: :func:`run_trial` builds the stack with the
     harness builders and drives ``Runtime.run_until`` / ``Runtime.run``
     over per-node automata.  Every plan runs here that the columnar
-    kernels cannot run (the combined Algorithm 11.1 MAC, approximate
-    progress alone, workloads without columnar hooks), and every plan
-    under ``ExecutionPolicy(vectorize=False)``.
+    kernels cannot run (workloads without columnar hooks, Algorithm 9.1
+    label spaces above 2³²), and every plan under
+    ``ExecutionPolicy(vectorize=False)``.
 
 columnar path
-    Eligible plans (:func:`~repro.vectorized.engine.vector_eligible`)
-    sharing node count, physical parameters, stack, workload and
-    tracing run as one batch on
-    :func:`~repro.vectorized.engine.run_vector_group` — numpy kernels
-    over the ``trials × n`` lattice, or the fused C slot loop of
-    :mod:`repro.native`.
+    Eligible plans (:func:`~repro.vectorized.engine.vector_eligible`:
+    Decay, Ack, Algorithm 9.1 and Algorithm 11.1 stacks) sharing node
+    count, physical parameters, stack, workload and tracing run as one
+    batch on :func:`~repro.vectorized.engine.run_vector_group` — numpy
+    kernels over the ``trials × n`` lattice, or the fused C slot loop of
+    :mod:`repro.native` (Decay and Ack, counters only).
 
 ``workers > 1``
     Plan shards are shipped to the scheduler's worker pool
@@ -190,18 +190,23 @@ def run_trial(
 
 
 def validate_plans(
-    plans: Sequence[TrialPlan], policy: ExecutionPolicy
+    plans: Sequence[TrialPlan],
+    policy: ExecutionPolicy,
+    cache: ArtifactCache | None = None,
 ) -> None:
     """Raise early when a policy demand cannot be met by these plans.
 
     Policy-only constraints live in ``ExecutionPolicy.__post_init__``;
     this adds the plan-dependent one — ``vectorize=True`` demands every
-    plan be columnar-eligible.  Called by :func:`run_trials` before any
-    dispatch (so the caller gets the error synchronously, not as a pool
+    plan be columnar-eligible (eligibility may look the deployment up
+    in ``cache``).  Called by :func:`run_trials` before any dispatch
+    (so the caller gets the error synchronously, not as a pool
     failure) and again by :func:`execute_plans` inside workers.
     """
     if policy.vectorize is True:
-        bad = [p.display_label for p in plans if not vector_eligible(p)]
+        bad = [
+            p.display_label for p in plans if not vector_eligible(p, cache)
+        ]
         if bad:
             raise ValueError(
                 "vectorize=True but these plans are not columnar-"
@@ -234,19 +239,19 @@ def execute_plans(
     list in plan order.
     """
     plan_list = list(plans)
-    validate_plans(plan_list, policy)
-    if not plan_list:
-        return []
     if not policy.share_cache:
         # A private cold cache for this execution only: nothing read
         # from, nothing published to, the shared process-wide cache.
         cache = ArtifactCache()
+    validate_plans(plan_list, policy, cache)
+    if not plan_list:
+        return []
     units: dict[object, list[tuple[int, TrialPlan]]] = {}
     for index, plan in enumerate(plan_list):
         # One columnar batch needs one node count, one MAC kernel and
         # one client population; an object-path plan is a unit alone.
         key: object = index
-        if policy.vectorize is not False and vector_eligible(plan):
+        if policy.vectorize is not False and vector_eligible(plan, cache):
             points = resolve_deployment(plan.deployment, cache)
             key = (
                 len(points),
@@ -304,7 +309,9 @@ def run_trials(
     elif not isinstance(policy, ExecutionPolicy):
         raise TypeError(f"policy must be an ExecutionPolicy; got {policy!r}")
     plan_list = list(plans)
-    validate_plans(plan_list, policy)
+    validate_plans(
+        plan_list, policy, cache if policy.share_cache else ArtifactCache()
+    )
     if not plan_list:
         return []
     if policy.workers > 1 and len(plan_list) > 1:

@@ -128,8 +128,8 @@ class Workload:
         """Array-state :meth:`done` for one trial of the batch."""
         raise NotImplementedError(f"workload {self.name!r} is not columnar")
 
-    def vector_target_slots(self, plan) -> int | None:
-        """Array-state :meth:`target_slots` (stack-independent)."""
+    def vector_target_slots(self, runtime, trial: int, plan) -> int | None:
+        """Array-state :meth:`target_slots` for one trial of the batch."""
         return None
 
     def vector_finalize(
@@ -202,27 +202,33 @@ class FixedSlotsWorkload(Workload):
     For layers that never acknowledge (the standalone Algorithm 9.1
     stack): every broadcaster bcasts once and the trial runs exactly
     ``slots`` slots (option), or ``epochs`` epochs of the stack's
-    schedule when the MAC exposes one (option, default 1 epoch).
+    schedule when the MAC exposes one (option, default 1 epoch).  An
+    epoch of Algorithm 11.1 (``stack="combined"``) takes twice its
+    schedule's slots, because Algorithm 9.1 runs on every other slot.
     """
 
     name = "fixed_slots"
     check_every = 1
+
+    @staticmethod
+    def _budget(plan, schedule) -> int:
+        slots = plan.option("slots")
+        if slots is not None:
+            return int(slots)
+        if schedule is None:
+            raise ValueError(
+                "fixed_slots needs a 'slots' option for stacks without "
+                "an epoch schedule"
+            )
+        stride = 2 if plan.stack == "combined" else 1
+        return stride * int(plan.option("epochs", 1)) * schedule.epoch_slots
 
     def start(self, stack, plan) -> None:
         for node in self.broadcasters(stack, plan):
             stack.macs[node].bcast(payload=f"m{node}")
 
     def target_slots(self, stack, plan) -> int:
-        slots = plan.option("slots")
-        if slots is not None:
-            return int(slots)
-        schedule = getattr(stack.macs[0], "schedule", None)
-        if schedule is None:
-            raise ValueError(
-                "fixed_slots needs a 'slots' option for stacks without "
-                "an epoch schedule"
-            )
-        return int(plan.option("epochs", 1)) * schedule.epoch_slots
+        return self._budget(plan, getattr(stack.macs[0], "schedule", None))
 
     def finalize(self, stack, plan, completion: int) -> dict[str, Any]:
         out = {"completion": completion}
@@ -232,11 +238,11 @@ class FixedSlotsWorkload(Workload):
         return out
 
     def vector_ready(self, plan) -> bool:
-        # Epoch-schedule budgets need a materialized MAC stack; only
-        # explicit slot budgets are columnar (the Decay/Ack case — the
-        # vector-eligible stacks have no epoch schedule, so the object
-        # path's finalize adds no epoch_slots either).
-        return plan.option("slots") is not None
+        # Epoch budgets need the schedule of an Algorithm 9.1 stack.
+        return plan.option("slots") is not None or plan.stack in (
+            "approg",
+            "combined",
+        )
 
     def vector_start(self, runtime, trial: int, plan) -> None:
         nodes = list(self.vector_broadcasters(runtime, plan))
@@ -248,18 +254,19 @@ class FixedSlotsWorkload(Workload):
     def vector_done(self, runtime, trial: int, plan) -> bool:
         return True  # unreachable: the fixed target drives completion
 
-    def vector_target_slots(self, plan) -> int | None:
-        return int(plan.option("slots"))
+    def vector_target_slots(self, runtime, trial: int, plan) -> int | None:
+        return self._budget(plan, runtime.schedule(trial))
 
     def vector_finalize(
         self, runtime, trial: int, plan, completion: int
     ) -> dict[str, Any]:
-        # The object path adds epoch_slots only for stacks exposing an
-        # epoch schedule, and vector_ready admits only explicit slot
-        # budgets — whose stacks have none.  So the columnar metrics
-        # are exactly the completion, matching finalize() bit-for-bit
-        # on every vector-eligible plan.
-        return {"completion": completion}
+        # epoch_slots exactly when finalize() adds it: for the stacks
+        # with an epoch schedule (Algorithms 9.1 and 11.1).
+        out = {"completion": completion}
+        schedule = runtime.schedule(trial)
+        if schedule is not None:
+            out["epoch_slots"] = schedule.epoch_slots
+        return out
 
 
 class SmbWorkload(Workload):

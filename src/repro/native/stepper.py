@@ -56,7 +56,6 @@ from repro.native import (
     NativeState,
     load,
 )
-from repro.simulation.trace import append_trial_rows
 
 __all__ = ["NativeStepper"]
 
@@ -262,10 +261,9 @@ class NativeStepper:
             return
         events = np.concatenate(segments)
         runtime = self._runtime
-        append_trial_rows(runtime.traces, events)
-        current = runtime._current
-        for trial, node in events[events[:, 2] == EV_ACK][:, [0, 3]].tolist():
-            current[trial][node] = None
+        runtime._log.append_rows(events)
+        acks = events[events[:, 2] == EV_ACK]
+        runtime._current[acks[:, 0] * runtime.n + acks[:, 3]] = None
 
     def _replay(self, events: np.ndarray, rows: list[int]) -> None:
         """Finish one slot the C kernel ran, through the runtime's slot

@@ -90,30 +90,42 @@ def pcg64_columns(rngs) -> np.ndarray:
 
 
 class NodeUniformBuffer:
-    """Bulk pre-draw of per-node uniforms, stream-identical to scalar draws.
+    """Bulk pre-draw of each node's PCG64 words, stream-identical to
+    scalar ``Generator`` draws.
 
     The numpy step of the columnar fast path (:mod:`repro.vectorized`)
-    needs one uniform per *owned slot* per node, exactly as the object
-    runtime draws them — node ``i``'s k-th vectorized draw must be the
-    same float its ``Generator.random()`` would have produced on its
-    k-th owned slot, or the fast path stops being decode-for-decode
-    identical.  (The native kernel draws from :func:`pcg64_columns`
-    instead and needs no buffer.)
+    draws for many nodes at once, exactly as the object runtime draws
+    for each — node ``i``'s k-th vectorized draw must be the value its
+    ``Generator`` would have produced on its k-th call, or the fast
+    path stops being decode-for-decode identical.  (The native kernel
+    steps :func:`pcg64_columns` instead and needs no buffer.)
 
     This buffer wraps one generator per node and refills each node's
-    lane ``chunk`` values at a time with ``Generator.random(chunk)``,
-    which emits the same float64 stream as ``chunk`` successive scalar
-    ``random()`` calls (each double consumes one 64-bit PCG64 output on
-    either path; ``tests/test_vectorized_equivalence.py`` pins this).
-    :meth:`take` then serves a whole population's draws for one slot as
-    a single fancy-indexed gather instead of N Python method calls.
+    lane ``chunk`` raw 64-bit words at a time with
+    ``bit_generator.random_raw(chunk)``, then serves both draw kinds
+    the protocols make from those words, as numpy's PCG64 ``Generator``
+    does (``tests/test_vectorized_equivalence.py`` pins both):
+
+    * :meth:`take` — ``random()``: one word ``w`` per draw, as the
+      double ``(w >> 11) · 2⁻⁵³``;
+    * :meth:`integers` — ``integers(low, high)`` for ranges up to 2³²
+      values: Lemire's method on 32-bit halves.  PCG64 hands out the
+      low half of a fresh word and keeps the high half for the next
+      32-bit request, so each lane carries the same one-flag,
+      one-value buffer (``has_uint32`` / ``uinteger``), which
+      ``random()`` leaves alone.
+
+    One call serves a whole population's draws of one kind as a few
+    fancy-indexed array operations instead of N Python method calls.
     """
 
     # The buffer costs lanes × chunk × 8 bytes; beyond this ceiling the
     # chunk auto-scales down (draw streams are chunk-independent, so
     # only refill frequency changes) instead of letting a huge
-    # population sweep allocate hundreds of MB of pre-drawn uniforms.
+    # population sweep allocate hundreds of MB of pre-drawn words.
     MAX_BUFFER_BYTES = 64 << 20
+    # The widest integers() range on numpy's 32-bit path.
+    MAX_INTEGER_RANGE = 1 << 32
 
     def __init__(self, rngs, chunk: int = 512) -> None:
         if chunk < 1:
@@ -124,30 +136,94 @@ class NodeUniformBuffer:
             cap = max(8, self.MAX_BUFFER_BYTES // (lanes * 8))
             chunk = min(int(chunk), cap)
         self.chunk = int(chunk)
-        self._buf = np.empty((lanes, self.chunk), dtype=np.float64)
-        # All lanes start exhausted; they fill lazily on first use so
-        # nodes that never draw (asleep / never broadcasting) cost
-        # nothing and leave their generator untouched.
-        self._cursor = np.full(lanes, self.chunk, dtype=np.intp)
+        self._buf = np.empty((lanes, self.chunk), dtype=np.uint64)
+        # All lanes start unfilled (cursor past the end, no buffered
+        # half read yet); they fill lazily on first use so nodes that
+        # never draw (asleep / never broadcasting) cost nothing and
+        # leave their generator untouched.
+        self._cursor = np.full(lanes, self.chunk + 1, dtype=np.intp)
+        self._has_half = np.zeros(lanes, dtype=bool)
+        self._half = np.zeros(lanes, dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self._rngs)
 
+    def _first_use(self, idx: np.ndarray) -> None:
+        """Take over the buffered 32-bit half of the lanes in ``idx``
+        that have not drawn yet (their cursor is past the end)."""
+        for lane in idx[self._cursor[idx] > self.chunk].tolist():
+            state = self._rngs[lane].bit_generator.state
+            self._has_half[lane] = bool(state["has_uint32"])
+            self._half[lane] = state["uinteger"]
+            self._cursor[lane] = self.chunk  # empty: refill on first word
+
+    def _words(self, idx: np.ndarray) -> np.ndarray:
+        """The next raw word of each lane in ``idx`` (no repeats)."""
+        exhausted = idx[self._cursor[idx] >= self.chunk]
+        if exhausted.size:
+            self._first_use(exhausted)
+            for lane in exhausted.tolist():
+                bit_generator = self._rngs[lane].bit_generator
+                self._buf[lane] = bit_generator.random_raw(self.chunk)
+            self._cursor[exhausted] = 0
+        out = self._buf[idx, self._cursor[idx]]
+        self._cursor[idx] += 1
+        return out
+
     def take(self, indices: np.ndarray) -> np.ndarray:
-        """Next uniform of each indexed lane, aligned with ``indices``.
+        """Next ``random()`` of each indexed lane, aligned with
+        ``indices``.
 
         ``indices`` must not repeat a lane within one call (a node owns
         at most one draw per slot); across calls, each lane's values
         appear in exactly its generator's scalar stream order.
         """
         idx = np.asarray(indices, dtype=np.intp)
-        exhausted = idx[self._cursor[idx] >= self.chunk]
-        for lane in exhausted.tolist():
-            self._buf[lane] = self._rngs[lane].random(self.chunk)
-            self._cursor[lane] = 0
-        out = self._buf[idx, self._cursor[idx]]
-        self._cursor[idx] += 1
+        return (self._words(idx) >> 11) * (1.0 / 9007199254740992.0)
+
+    def _halves(self, idx: np.ndarray) -> np.ndarray:
+        """Next 32-bit value of each lane, as PCG64's ``next_uint32``."""
+        self._first_use(idx)
+        has = self._has_half[idx]
+        out = np.empty(idx.size, dtype=np.uint64)
+        out[has] = self._half[idx[has]]
+        fresh = idx[~has]
+        if fresh.size:
+            words = self._words(fresh)
+            out[~has] = words & 0xFFFFFFFF
+            self._half[fresh] = words >> 32
+        self._has_half[idx] = ~has
         return out
+
+    def integers(
+        self, indices: np.ndarray, low: int, high: np.ndarray
+    ) -> np.ndarray:
+        """Next ``integers(low, high[i])`` of each indexed lane (int64),
+        for ranges ``high - low`` of 2 to 2³² values.
+
+        Lemire's method as numpy runs it: scale a 32-bit value by the
+        range, and redraw while the low word falls under the rejection
+        threshold ``2³² mod range``.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        span = (np.asarray(high, dtype=np.int64) - low).astype(np.uint64)
+        span = np.broadcast_to(span, idx.shape)
+        if idx.size and not (
+            (span >= 2).all() and (span <= self.MAX_INTEGER_RANGE).all()
+        ):
+            raise ValueError("integers() needs 2 to 2**32 values")
+        scaled = self._halves(idx) * span
+        low_word = scaled & 0xFFFFFFFF
+        suspect = np.flatnonzero(low_word < span)
+        if suspect.size:
+            threshold = (self.MAX_INTEGER_RANGE - span[suspect]) % span[suspect]
+            redo = suspect[low_word[suspect] < threshold]
+            threshold = threshold[low_word[suspect] < threshold]
+            while redo.size:
+                scaled[redo] = self._halves(idx[redo]) * span[redo]
+                again = (scaled[redo] & 0xFFFFFFFF) < threshold
+                redo, threshold = redo[again], threshold[again]
+        return (scaled >> 32).astype(np.int64) + low
 
 
 class LinkUniformBuffer:

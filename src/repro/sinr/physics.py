@@ -435,12 +435,13 @@ def _check_unique_listeners(listener_idx: np.ndarray) -> None:
     """Defend the β > 1 uniqueness invariant in one vectorized check.
 
     For the batched and sparse kernels, which return index arrays
-    rather than a dict: one ``np.unique`` comparison costs one sort of
-    the (sparse) decode list and runs identically with or without
-    ``python -O``.
+    rather than a dict: one sort of the (sparse) decode list and a
+    neighbour comparison, identical with or without ``python -O``.
     """
-    if listener_idx.size != np.unique(listener_idx).size:
-        raise RuntimeError(_BETA_VIOLATED)
+    if listener_idx.size > 1:
+        ordered = np.sort(listener_idx)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise RuntimeError(_BETA_VIOLATED)
 
 
 def _segment_totals(
@@ -464,8 +465,9 @@ def _segment_totals(
     trials = sizes.size
     n = powers.shape[1]
     total = np.zeros((trials, n))
-    for b in np.flatnonzero(sizes).tolist():
-        total[b] = powers[offsets[b] : offsets[b + 1]].sum(axis=0)
+    bounds = offsets.tolist()
+    for b in sizes.nonzero()[0].tolist():
+        powers[bounds[b] : bounds[b + 1]].sum(axis=0, out=total[b])
     return total
 
 
@@ -529,8 +531,9 @@ def successful_receptions_batch(
 
     # Flat ragged layout: row r holds one (trial, transmitter) pair.
     tx_flat = np.concatenate(tx_lists)
-    trial_of_row = np.repeat(np.arange(trials), sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    trial_of_row = np.arange(trials).repeat(sizes)
+    offsets = np.zeros(trials + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
 
     # (r, u): power of row r's transmitter received at node u — one
     # gather for the whole batch.  A zero-stride gain stack (every
@@ -557,20 +560,23 @@ def successful_receptions_batch(
     total = _segment_totals(powers, sizes, offsets)
     # Expanding total back to rows via repeat (contiguous block copies)
     # beats a fancy-index gather; the values are identical.
-    interference = np.repeat(total, sizes, axis=0)
+    interference = total.repeat(sizes, axis=0)
     np.subtract(interference, powers, out=interference)
     interference += params.noise
     sinr = np.divide(powers, interference, out=interference)
-    ok = sinr >= params.beta
+    row_idx, u_idx = (sinr >= params.beta).nonzero()
 
     # Half-duplex: a transmitter decodes nothing in its own trial.
-    listening = np.ones((trials, n), dtype=bool)
-    listening[trial_of_row, tx_flat] = False
-    ok &= listening[trial_of_row]
-
-    row_idx, u_idx = np.nonzero(ok)
-    senders = tx_flat[row_idx]
+    # Filtering the (few) decodes keeps their row-major order.
     trials_hit = trial_of_row[row_idx]
+    transmitting = np.zeros((trials, n), dtype=bool)
+    transmitting[trial_of_row, tx_flat] = True
+    listening = ~transmitting[trials_hit, u_idx]
+    if not listening.all():
+        row_idx = row_idx[listening]
+        u_idx = u_idx[listening]
+        trials_hit = trials_hit[listening]
+    senders = tx_flat[row_idx]
     # beta > 1 makes two decodes at one (trial, listener) impossible;
     # one vectorized uniqueness check replaces the old per-pair asserts.
     _check_unique_listeners(trials_hit * n + u_idx)

@@ -12,12 +12,14 @@ dataclass-equal to what the object path produces.
 
 Eligibility — all of:
 
-* ``plan.stack`` is ``"decay"`` or ``"ack"`` (homogeneous populations
-  whose per-node engines have columnar kernels);
+* ``plan.stack`` has a columnar kernel: ``"decay"``, ``"ack"``,
+  ``"approg"`` (Algorithm 9.1) or ``"combined"`` (Algorithm 11.1);
 * the plan's workload opted in via ``Workload.vector_ready`` — bare
   ``MacClient`` workloads (local_broadcast, fixed_slots) and the
   protocol workloads with columnar client populations (smb, mmb,
-  consensus; :mod:`repro.vectorized.protocols`).
+  consensus; :mod:`repro.vectorized.protocols`);
+* an Algorithm 9.1 label space of at most 2³² labels: numpy draws wider
+  labels on its 64-bit path, which the columnar feed does not replay.
 
 Everything else runs on the object path, one
 :func:`~repro.experiments.engine.run_trial` at a time — the selection
@@ -29,7 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.analysis.harness import default_ack_config, default_decay_config
+from repro.analysis.harness import (
+    default_ack_config,
+    default_approg_config,
+    default_decay_config,
+)
 from repro.core.spec import (
     broadcast_intervals,
     measure_acknowledgments,
@@ -42,41 +48,87 @@ from repro.experiments.cache import (
 )
 from repro.experiments.plans import TrialPlan, TrialResult
 from repro.experiments.workloads import Workload, get_workload
+from repro.simulation.rng import NodeUniformBuffer
 from repro.sinr.channel import Channel
-from repro.vectorized.kernels import AckKernel, DecayKernel
+from repro.vectorized.kernels import (
+    AckKernel,
+    ApproxProgressKernel,
+    CombinedKernel,
+    DecayKernel,
+)
 from repro.vectorized.protocols import VectorMacAdapter
 from repro.vectorized.runtime import VectorRuntime
 
 __all__ = ["vector_eligible", "run_vector_group", "plan_protocol_config"]
 
-_VECTOR_STACKS = ("decay", "ack")
+_VECTOR_STACKS = ("decay", "ack", "approg", "combined")
 
 
-def vector_eligible(plan: TrialPlan) -> bool:
-    """May this plan run on the columnar fast path?"""
+def vector_eligible(plan: TrialPlan, cache: ArtifactCache | None = None) -> bool:
+    """May this plan run on the columnar fast path?
+
+    A default Algorithm 9.1 config derives its label space from the
+    deployment's Λ, looked up through ``cache``.
+    """
     if plan.stack not in _VECTOR_STACKS:
         return False
-    return get_workload(plan.workload).vector_ready(plan)
+    if not get_workload(plan.workload).vector_ready(plan):
+        return False
+    if plan.stack in ("approg", "combined"):
+        approg = _approg_config(plan, cache)
+        return approg.labels <= NodeUniformBuffer.MAX_INTEGER_RANGE
+    return True
+
+
+def _lam(plan: TrialPlan, cache: ArtifactCache | None) -> float:
+    points = resolve_deployment(plan.deployment, cache)
+    return deployment_artifacts(points, plan.params, cache).metrics.lam
+
+
+def _approg_config(plan: TrialPlan, cache: ArtifactCache | None):
+    if plan.approg_config is not None:
+        return plan.approg_config
+    return default_approg_config(
+        _lam(plan, cache), plan.eps_approg, plan.params.alpha
+    )
 
 
 def plan_protocol_config(plan: TrialPlan, cache: ArtifactCache | None = None):
-    """The plan's effective Decay/Ack config — explicit, or the shared
+    """The plan's effective protocol config — explicit, or the shared
     paper-formula default the harness builders use
-    (:func:`~repro.analysis.harness.default_decay_config` /
-    :func:`~repro.analysis.harness.default_ack_config`; bit-identical
-    configuration is the first precondition of bit-identical runs)."""
+    (:func:`~repro.analysis.harness.default_decay_config`,
+    :func:`~repro.analysis.harness.default_ack_config`,
+    :func:`~repro.analysis.harness.default_approg_config`; bit-identical
+    configuration is the first precondition of bit-identical runs).
+    ``"combined"`` plans get an ``(ack, approg)`` pair."""
     if plan.stack == "decay":
         if plan.decay_config is not None:
             return plan.decay_config
         points = resolve_deployment(plan.deployment, cache)
         return default_decay_config(len(points), plan.eps_ack)
-    if plan.stack == "ack":
-        if plan.ack_config is not None:
-            return plan.ack_config
-        points = resolve_deployment(plan.deployment, cache)
-        metrics = deployment_artifacts(points, plan.params, cache).metrics
-        return default_ack_config(metrics.lam, plan.eps_ack)
+    if plan.stack == "approg":
+        return _approg_config(plan, cache)
+    if plan.stack in ("ack", "combined"):
+        ack = plan.ack_config
+        if ack is None:
+            ack = default_ack_config(_lam(plan, cache), plan.eps_ack)
+        if plan.stack == "ack":
+            return ack
+        return ack, _approg_config(plan, cache)
     raise ValueError(f"stack {plan.stack!r} has no columnar kernel")
+
+
+def _kernel(stack: str, configs: list, n: int):
+    """The stack's columnar kernel over the batch's per-trial configs."""
+    if stack == "decay":
+        return DecayKernel(configs, n)
+    if stack == "ack":
+        return AckKernel(configs, n)
+    if stack == "approg":
+        return ApproxProgressKernel(configs, n)
+    return CombinedKernel(
+        [ack for ack, _ in configs], [approg for _, approg in configs], n
+    )
 
 
 @dataclass
@@ -132,9 +184,9 @@ def run_vector_group(
         artifacts.append(deployment_artifacts(points, plan.params, cache))
 
     n = artifacts[0].metrics.n
-    configs = [plan_protocol_config(plan, cache) for _, plan in group]
-    kernel_cls = DecayKernel if stack_kind == "decay" else AckKernel
-    kernel = kernel_cls(configs, n)
+    kernel = _kernel(
+        stack_kind, [plan_protocol_config(plan, cache) for _, plan in group], n
+    )
     channels = [
         Channel(
             art.points,
@@ -185,7 +237,7 @@ def run_vector_group(
                 row=row,
                 plan=plan,
                 workload=workload,
-                target=workload.vector_target_slots(plan),
+                target=workload.vector_target_slots(runtime, row, plan),
             )
         )
 

@@ -127,13 +127,7 @@ class VectorMacAdapter:
 
     def emit(self, cells: np.ndarray, kind: str, values) -> None:
         """Record one protocol-output trace event per cell (e.g. decide)."""
-        runtime = self.runtime
-        n = runtime.n
-        for cell, value in zip(cells.tolist(), values.tolist()):
-            trial, node = divmod(cell, n)
-            runtime.traces[trial].record(
-                runtime.slots[trial], kind, node, value
-            )
+        self.runtime.record_events(cells, kind, values)
 
 
 class BsmbClients:

@@ -6,9 +6,10 @@ populations of many batched trials one slot at a time, but where the
 object runtime makes N ``on_slot`` calls per trial per slot, this one
 makes a fixed number of array operations over the ``trials × n``
 lattice — the per-node protocol state lives in a columnar kernel
-(:mod:`repro.vectorized.kernels`), the per-slot uniforms come from a
-bulk pre-draw (:class:`~repro.simulation.rng.NodeUniformBuffer`), and
-the SINR physics of the whole batch resolves through the flat
+(:mod:`repro.vectorized.kernels`), the per-slot draws come from a bulk
+pre-draw of each node's PCG64 words
+(:class:`~repro.simulation.rng.NodeUniformBuffer`), and the SINR
+physics of the whole batch resolves through the flat
 ``(trial, listener, sender)`` decodes of
 :func:`~repro.sinr.physics.successful_receptions_batch`.  Batches the
 fused C kernel covers run there instead (:mod:`repro.native`), each
@@ -18,24 +19,25 @@ Equivalence contract
 --------------------
 A trial advanced here is **decode-for-decode identical** to the same
 trial on the object runtime: same per-node RNG streams (drawn in the
-same order), same transmit decisions, same receptions, same
-wake/bcast/rcv/ack slots, same channel counters, and the same
+same order), same transmit decisions and payloads, same receptions,
+same wake/bcast/rcv/ack slots, same channel counters, and the same
 :class:`~repro.simulation.trace.EventTrace` content.  The only visible
 difference is intra-slot event interleaving: the object runtime
 interleaves events node by node, while this runtime records each slot's
 events grouped by kind (all transmits, then acks, then the delivery
 events) — within one kind the order is identical, and every
 measurement in :mod:`repro.core.spec` is ordering-free within a slot.
-The MAC events (ack / wake / rcv / bcast) reach the traces as event-log
-rows appended per trial in bulk — built here by the numpy step, or the
-C kernel's own rows on the native path — and only the physical
-transmit / receive events, whose data are payload objects, are recorded
-one by one.
+Every event reaches the traces as rows appended in bulk: the numpy step
+stages each slot's rows of all trials in a
+:class:`~repro.simulation.trace.TraceBatch` (the physical transmit rows
+with a reference to their payload, the receive rows with none), and the
+native path hands over the C kernel's own rows.
 
-Scope: homogeneous populations — every node runs the same Decay/Ack
-protocol.  Bare ``MacClient`` populations (the Table-1 and Theorem-8.1
-experiment shape) run exactly as before; reactive protocol clients
-(BSMB relays, BMMB queues, consensus waves) attach through a
+Scope: every node of a trial runs the same MAC — Decay, Algorithm B.1,
+Algorithm 9.1, or Algorithm 11.1, which interleaves the last two on
+alternate slots.  Bare ``MacClient`` populations (the Table-1 and
+Theorem-8.1 experiment shape) run exactly as before; reactive protocol
+clients (BSMB relays, BMMB queues, consensus waves) attach through a
 :class:`~repro.vectorized.protocols.VectorMacAdapter`, which receives
 this runtime's MAC events (wake / rcv / ack) as cell index arrays and
 may start new broadcasts in response.  Rebroadcasting detaches the
@@ -43,8 +45,7 @@ single-shot restriction: each new broadcast resets the cell's kernel
 state to a fresh engine (``kernel.reset``), mirroring the object MACs'
 fresh-``Engine``-per-broadcast rule.  Sleeping nodes remain pure
 listeners woken by their first decode (conditional wakeup,
-Definition 4.4).  Heterogeneous stacks (the combined Algorithm 11.1
-MAC) stay on the object runtime.
+Definition 4.4).
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ from repro.simulation.trace import (
     ROW,
     WAKE,
     EventTrace,
-    append_trial_rows,
+    TraceBatch,
     event_rows,
 )
 from repro.sinr.channel import Channel
 from repro.sinr.physics import batch_tensor, successful_receptions_batch
+from repro.vectorized.kernels import ApproxProgressKernel, CombinedKernel
 
 __all__ = ["VectorRuntime"]
 
@@ -97,8 +99,10 @@ class VectorRuntime:
         key).  Each trial keeps its own adversary, counters and trace.
     kernel:
         A columnar protocol kernel sized for ``len(channels)`` trials of
-        ``n`` nodes (:class:`~repro.vectorized.kernels.DecayKernel` or
-        :class:`~repro.vectorized.kernels.AckKernel`).
+        ``n`` nodes (:mod:`repro.vectorized.kernels`): Decay or Ack,
+        stepped on the cells with a broadcast in flight; Algorithm 9.1,
+        stepped on every awake cell; or Algorithm 11.1, the two
+        interleaved on alternate slots.
     seeds:
         Per-trial master seeds; node generators are spawned exactly as
         the object runtime spawns them, so streams line up node for
@@ -107,7 +111,8 @@ class VectorRuntime:
         Per-trial slot budget (int applies to all trials); exceeding it
         raises ``RuntimeError`` like the object runtime's budget check.
     record_physical:
-        When True (default), every physical transmit/receive is traced.
+        When True (default), every physical transmit/receive is traced,
+        as bulk rows (:meth:`~repro.simulation.trace.TraceBatch.add_transmits`).
     native:
         Backend selector for the fused C slot loop (:mod:`repro.native`):
         ``False`` pins the pure-numpy reference path, ``True`` demands
@@ -156,6 +161,14 @@ class VectorRuntime:
         if kernel.n != n or kernel_cells != trials * n:
             raise ValueError("kernel lattice does not match the batch")
         self.kernel = kernel
+        # The busy-cell MAC kernel (Decay, Ack, Algorithm 11.1's even
+        # slots) and the Algorithm 9.1 kernel, either one possibly None.
+        self._mac = kernel
+        self._approg = None
+        if isinstance(kernel, CombinedKernel):
+            self._mac, self._approg = kernel.ack, kernel.approg
+        elif isinstance(kernel, ApproxProgressKernel):
+            self._mac, self._approg = None, kernel
         self.params = params
         self.trials = trials
         self._n = n
@@ -212,14 +225,18 @@ class VectorRuntime:
                 channel.bind_trial_seed(seed)
 
         self.traces = [EventTrace() for _ in range(trials)]
+        self._trial_bounds = np.arange(trials + 1)  # searchsorted probes
+        # Every event row goes through one staging batch, handed to the
+        # traces when the public call that produced it returns.
+        self._log = TraceBatch(self.traces)
+        self._holding = False
         self.registries = [MessageRegistry() for _ in range(trials)]
         self.slots = [0] * trials
         self._awake = np.zeros(trials * n, dtype=bool)
         self._busy = np.zeros(trials * n, dtype=bool)
         self._has_broadcast = np.zeros(trials * n, dtype=bool)
-        self._current: list[list[BcastMessage | None]] = [
-            [None] * n for _ in range(trials)
-        ]
+        # Each cell's in-flight message (None when idle).
+        self._current = np.full(trials * n, None, dtype=object)
         self._delivered: list[set[tuple[int, int]]] = [
             set() for _ in range(trials)
         ]
@@ -231,18 +248,16 @@ class VectorRuntime:
         self._in_phase1 = False
         self._staged_current: list[tuple[int, int, BcastMessage]] = []
         self._tx_mid = np.full(trials * n, -1, dtype=np.int64)
-        # Columnar rcv dedup for the counters-only mode: because only a
-        # message's origin ever transmits it (every MAC mints its own
-        # messages), "listener already delivered the sender's current
-        # message" is exactly the per-mid dedup rule of
-        # MacLayerBase._deliver — one boolean gather replaces the
-        # per-decode set probes, and duplicate decodes (the common case
-        # under Decay/Ack repetition) cost no Python at all.  Falls
-        # back to the per-decode sets when the matrix would be large
-        # (big-n many-trial batches) or when full physical tracing
-        # walks every decode anyway.
+        # Columnar rcv dedup: because only a message's origin ever
+        # transmits it (every MAC mints its own messages), "listener
+        # already delivered the sender's current message" is exactly
+        # the per-mid dedup rule of MacLayerBase._deliver — one boolean
+        # gather replaces the per-decode set probes, and duplicate
+        # decodes (the common case under Decay/Ack repetition) cost no
+        # Python at all.  Falls back to the per-decode sets when the
+        # matrix would be large (big-n many-trial batches).
         self._seen = None
-        if not self.record_physical and trials * n * n <= SEEN_MATRIX_CAP:
+        if trials * n * n <= SEEN_MATRIX_CAP:
             self._seen = np.zeros((trials * n, n), dtype=bool)
         # Churn liveness over the flat lattice: None while every node of
         # every trial is up (the overwhelmingly common case — the fast
@@ -304,6 +319,12 @@ class VectorRuntime:
         """Trace of trial 0 (the single-trial convenience view)."""
         return self.traces[0]
 
+    def schedule(self, trial: int):
+        """The trial's Algorithm 9.1
+        :class:`~repro.core.approx_progress.EpochSchedule` (None when
+        the stack has none)."""
+        return None if self._approg is None else self._approg.schedules[trial]
+
     def busy_nodes(self, trial: int) -> np.ndarray:
         """Ids of the trial's nodes with a broadcast in flight."""
         row = self._busy[trial * self._n : (trial + 1) * self._n]
@@ -327,7 +348,19 @@ class VectorRuntime:
         cell = trial * self._n + node
         if not self._awake[cell]:
             self._awake[cell] = True
+            self._log.flush()
             self.traces[trial].record(self.slots[trial], "wake", node)
+
+    def record_events(
+        self, cells: np.ndarray, kind: str, values: np.ndarray
+    ) -> None:
+        """Record one event of any kind (a protocol output such as
+        ``decide``) per cell, after every staged row."""
+        self._log.flush()
+        n = self._n
+        for cell, value in zip(cells.tolist(), values.tolist()):
+            trial, node = divmod(cell, n)
+            self.traces[trial].record(self.slots[trial], kind, node, value)
 
     def bcast(self, trial: int, node: int, payload: Any = None) -> BcastMessage:
         """Begin a local broadcast at the node, as MacLayer.bcast (the
@@ -386,9 +419,8 @@ class VectorRuntime:
             trials, BCAST, nodes, [message.mid for message in messages]
         )
         rows[woke] = self._event_rows(trials[asleep], WAKE, nodes[asleep])
-        append_trial_rows(
-            self.traces, rows[np.argsort(rows[:, 0], kind="stable")]
-        )
+        self._log.add_rows(rows)
+        self._release()
         return messages
 
     def _attach_message(
@@ -398,10 +430,16 @@ class VectorRuntime:
         source for deliveries, mid column for rcv events, and a fresh
         dedup column (nobody has delivered the new message yet)."""
         n = self._n
-        self._current[trial][node] = message
+        self._current[trial * n + node] = message
         self._tx_mid[trial * n + node] = message.mid
         if self._seen is not None:
             self._seen[trial * n : (trial + 1) * n, node] = False
+
+    def _release(self) -> None:
+        """Hand the staged rows to the traces, unless a slot loop is
+        running (it flushes once, when it returns)."""
+        if not self._holding:
+            self._log.flush()
 
     # -- the slot loop -----------------------------------------------------
 
@@ -410,6 +448,31 @@ class VectorRuntime:
         if self._stepper is not None:
             self.advance_slots(1, rows)
             return
+        if self._holding:  # one slot of advance_slots
+            self._step(rows)
+            return
+        self._holding = True
+        try:
+            self._step(rows)
+        finally:
+            self._holding = False
+            self._log.flush()
+
+    def _row_cells(self, mask: np.ndarray, rows: list[int]) -> np.ndarray:
+        """The cells of ``mask`` in trials ``rows`` that are not crashed."""
+        if len(rows) < self.trials:
+            live = np.zeros(self.trials, dtype=bool)
+            live[rows] = True
+            mask = mask & live.repeat(self._n)
+        if self._alive is not None:
+            # Crashed cells are frozen: no kernel step, no RNG draw, no
+            # transmission — the columnar twin of the object runtime
+            # skipping their on_slot call.
+            mask = mask & self._alive
+        return mask.nonzero()[0]
+
+    def _step(self, rows: Sequence[int] | None) -> None:
+        """One slot of the numpy step."""
         n = self._n
         trials = self.trials
         rows = list(range(trials)) if rows is None else list(rows)
@@ -434,48 +497,72 @@ class VectorRuntime:
                 )
             self._alive = self._gather_alive()
 
-        live = np.zeros(trials, dtype=bool)
-        live[rows] = True
-        busy_mask = self._busy & np.repeat(live, n)
-        if self._alive is not None:
-            # Crashed cells are frozen: no kernel step, no RNG draw, no
-            # transmission — the columnar twin of the object runtime
-            # skipping their on_slot call.
-            busy_mask &= self._alive
-        idx = np.flatnonzero(busy_mask)
+        # Which kernel each trial steps: Algorithm 9.1 on its virtual
+        # slots (every slot alone, the odd ones inside Algorithm 11.1),
+        # the busy-cell MAC kernel on all others.
+        approg = self._approg
+        if approg is None:
+            mac_rows, approg_rows = rows, []
+        else:
+            stride = approg.stride
+            last = stride - 1
+            approg_rows = [t for t in rows if self.slots[t] % stride == last]
+            mac_rows = (
+                [t for t in rows if self.slots[t] % stride != last]
+                if self._mac is not None
+                else []
+            )
 
-        # Phase 1: every broadcasting cell decides transmit/listen in
-        # one kernel step (drawing its node's next private uniform).
-        uniforms = self._uniforms.take(idx)
-        transmit, halted = self.kernel.step(idx, uniforms)
-        tx_cells = idx[transmit]
-        ack_cells = idx[halted]
-
-        # Reception feedback (Ack fallback counting) is owed to exactly
-        # the engines that ran this slot and did not halt: on the object
-        # path a halting cell's engine is gone before delivery, and a
-        # same-slot (re)broadcast has no engine until its first step.
+        # Phase 1: every stepped cell decides transmit/listen (drawing
+        # from its node's private stream).
+        tx_cells = ack_cells = _EMPTY_IDS
         feedback_ok = None
-        if self.kernel.needs_reception_feedback:
-            feedback_ok = np.zeros(trials * n, dtype=bool)
-            feedback_ok[idx[~halted]] = True
+        if mac_rows:
+            idx = self._row_cells(self._busy, mac_rows)
+            transmit, halted = self._mac.step(idx, self._uniforms.take(idx))
+            tx_cells = idx[transmit]
+            ack_cells = idx[halted]
+            # Reception feedback (Ack fallback counting) is owed to
+            # exactly the engines that ran this slot and did not halt:
+            # on the object path a halting cell's engine is gone before
+            # delivery, and a same-slot (re)broadcast has no engine
+            # until its first step.
+            if self.kernel.needs_reception_feedback:
+                feedback_ok = np.zeros(trials * n, dtype=bool)
+                feedback_ok[idx[~halted]] = True
+        # Cells whose payload this slot is not their broadcast message
+        # (Algorithm 9.1's est1 / est2 / mis tuples); None: there are
+        # none.
+        tuples = None
+        if approg_rows:
+            awake = self._row_cells(self._awake, approg_rows)
+            sent, carries = approg.step(
+                approg_rows, self.slots, awake, self._busy, self._uniforms
+            )
+            if not carries.all():
+                tuples = np.zeros(trials * n, dtype=bool)
+                tuples[sent[~carries]] = True
+            tx_cells = (
+                np.sort(np.concatenate([tx_cells, sent]))
+                if tx_cells.size
+                else sent
+            )
 
         tx_trial = tx_cells // n
         tx_node = tx_cells - tx_trial * n
-        bounds = np.searchsorted(tx_trial, np.arange(trials + 1))
+        slots = np.asarray(self.slots, dtype=np.int64)
+        payloads = None
+        if self.record_physical or self._has_adversary:
+            payloads = self._payloads(tx_cells, tuples)
+        if self.record_physical and tx_cells.size:
+            self._log.add_transmits(
+                tx_trial, slots[tx_trial], tx_node, payloads
+            )
+        bounds = tx_trial.searchsorted(self._trial_bounds).tolist()
         tx_ids: list[np.ndarray] = [_EMPTY_IDS] * trials
         for t in rows:
-            lo, hi = bounds[t], bounds[t + 1]
-            if lo == hi:
-                continue
-            nodes = tx_node[lo:hi]
-            tx_ids[t] = nodes
-            if self.record_physical:
-                current = self._current[t]
-                record = self.traces[t].record
-                slot = self.slots[t]
-                for node in nodes.tolist():
-                    record(slot, "transmit", node, current[node])
+            if bounds[t] < bounds[t + 1]:
+                tx_ids[t] = tx_node[bounds[t] : bounds[t + 1]]
 
         acked = self._ack_phase(ack_cells)
 
@@ -534,100 +621,170 @@ class VectorRuntime:
             # Churn: a crashed listener's radio is off — drop its
             # decodes before any counter, wakeup or adversary sees them
             # (Channel.finalize_slot applies the same mask on the
-            # object executors, so the filter here is load-bearing only
-            # for the adversary-free fast delivery below).
+            # object executors).
             keep = self._alive[hit_trial * n + hit_listener]
             if not keep.all():
                 hit_trial = hit_trial[keep]
                 hit_listener = hit_listener[keep]
                 hit_sender = hit_sender[keep]
 
-        rx_bounds = np.searchsorted(hit_trial, np.arange(trials + 1))
         if self._has_adversary:
-            self._deliver_filtered(
+            hit_trial, hit_listener, hit_sender = self._filter(
                 rows,
                 tx_ids,
+                tx_cells,
+                payloads,
                 hit_trial,
                 hit_listener,
                 hit_sender,
-                rx_bounds,
-                feedback_ok,
             )
         else:
-            # Fast delivery (no failure injection anywhere in the
-            # batch): every raw decode is a delivered reception, so
-            # conditional wakeup and rc feedback vectorize over the
-            # flat hit arrays and only the per-reception trace/dedup
-            # work stays in Python.
-            hit_cells = hit_trial * n + hit_listener
-            self._wake_phase(hit_cells)
-            feedback = (
-                hit_cells[feedback_ok[hit_cells]]
-                if feedback_ok is not None
-                else None
-            )
-            adapter = self.adapter
-            if self._seen is not None:
-                # Columnar dedup: one boolean gather finds the decodes
-                # that are first deliveries; duplicate decodes cost no
-                # Python (see the _seen comment in __init__).
-                for t in rows:
-                    lo, hi = rx_bounds[t], rx_bounds[t + 1]
-                    channel = self.channels[t]
-                    channel._slot_count += 1
-                    channel.total_transmissions += int(tx_ids[t].size)
-                    channel.total_receptions += int(hi - lo)
-                fresh = ~self._seen[hit_cells, hit_sender]
-                fr_cells = hit_cells[fresh]
-                fr_sender = hit_sender[fresh]
-                self._seen[fr_cells, fr_sender] = True
-                fr_sender_cells = fr_cells - fr_cells % n + fr_sender
-                self._rcv_phase(
-                    fr_cells, fr_sender_cells, self._tx_mid[fr_sender_cells]
-                )
-            else:
-                rcv_cells: list[int] = []
-                rcv_senders: list[int] = []
-                for t in rows:
-                    lo, hi = rx_bounds[t], rx_bounds[t + 1]
-                    slot = self.slots[t]
-                    channel = self.channels[t]
-                    # finalize_slot's bookkeeping, no dict traffic.
-                    channel._slot_count += 1
-                    channel.total_transmissions += int(tx_ids[t].size)
-                    channel.total_receptions += int(hi - lo)
-                    if lo == hi:
-                        continue
-                    current = self._current[t]
-                    record = self.traces[t].record
-                    delivered = self._delivered[t]
-                    physical = self.record_physical
-                    base = t * n
-                    for listener, sender in zip(
-                        hit_listener[lo:hi].tolist(),
-                        hit_sender[lo:hi].tolist(),
-                    ):
-                        payload = current[sender]
-                        if physical:
-                            record(
-                                slot, "receive", listener, (sender, payload)
-                            )
-                        key = (listener, payload.mid)
-                        if payload.origin != listener and key not in delivered:
-                            delivered.add(key)
-                            record(slot, "rcv", listener, payload.mid)
-                            if adapter is not None:
-                                rcv_cells.append(base + listener)
-                                rcv_senders.append(base + sender)
-                if adapter is not None and rcv_cells:
-                    adapter.on_rcv(
-                        np.asarray(rcv_cells, dtype=np.intp),
-                        np.asarray(rcv_senders, dtype=np.intp),
-                    )
-            if feedback is not None and feedback.size:
-                self.kernel.notify(feedback)
-
+            rx_bounds = hit_trial.searchsorted(self._trial_bounds).tolist()
+            for t in rows:
+                # finalize_slot's bookkeeping, no dict traffic.
+                channel = self.channels[t]
+                channel._slot_count += 1
+                channel.total_transmissions += int(tx_ids[t].size)
+                channel.total_receptions += rx_bounds[t + 1] - rx_bounds[t]
+        self._deliver(
+            hit_trial,
+            hit_listener,
+            hit_sender,
+            slots,
+            tuples,
+            approg_rows,
+            feedback_ok,
+        )
         self._end_slot(rows, acked)
+
+    def _payloads(self, cells, tuples) -> np.ndarray:
+        """What each transmitting cell sends (an object array): its
+        broadcast message, or (``tuples``) an Algorithm 9.1 payload
+        tuple."""
+        payloads = self._current[cells]
+        if tuples is not None:
+            marked = tuples[cells]
+            payloads[marked] = self._approg.payloads(cells[marked])
+        return payloads
+
+    def _filter(
+        self,
+        rows,
+        tx_ids,
+        tx_cells,
+        payloads,
+        hit_trial,
+        hit_listener,
+        hit_sender,
+    ):
+        """The decodes that survive ``Channel.finalize_slot``, for
+        batches with failure injection: the adversary filters the same
+        receptions dict in the same order as the object runtime
+        (consuming its RNG stream identically) and keeps the channel
+        counters.  Returns the surviving ``(trial, listener, sender)``
+        arrays, in delivery order."""
+        n = self._n
+        payload_of = dict(zip(tx_cells.tolist(), payloads))
+        bounds = hit_trial.searchsorted(self._trial_bounds).tolist()
+        kept_t: list[int] = []
+        kept_l: list[int] = []
+        kept_s: list[int] = []
+        for t in rows:
+            lo, hi = bounds[t], bounds[t + 1]
+            raw = dict(
+                zip(hit_listener[lo:hi].tolist(), hit_sender[lo:hi].tolist())
+            )
+            sent = {
+                node: payload_of[t * n + node] for node in tx_ids[t].tolist()
+            }
+            outcome = self.channels[t].finalize_slot(sent, tx_ids[t], raw)
+            for listener, (sender, _payload) in outcome.receptions.items():
+                kept_t.append(t)
+                kept_l.append(listener)
+                kept_s.append(sender)
+        return (
+            np.asarray(kept_t, dtype=np.intp),
+            np.asarray(kept_l, dtype=np.intp),
+            np.asarray(kept_s, dtype=np.intp),
+        )
+
+    def _deliver(
+        self,
+        hit_trial,
+        hit_listener,
+        hit_sender,
+        slots,
+        tuples,
+        approg_rows,
+        feedback_ok,
+    ) -> None:
+        """Phase 2: this slot's delivered decodes, in delivery order —
+        conditional wakeups, receive rows, Algorithm 9.1 bookkeeping,
+        then the deduplicated rcv events of broadcast messages and the
+        reception feedback."""
+        n = self._n
+        hit_cells = hit_trial * n + hit_listener
+        sender_cells = hit_trial * n + hit_sender
+        self._wake_phase(hit_cells)
+        # Decodes of a broadcast message (not an Algorithm 9.1 tuple).
+        message = None if tuples is None else ~tuples[sender_cells]
+        if self.record_physical and hit_cells.size:
+            mids = self._tx_mid[sender_cells]
+            origins = hit_sender
+            if message is not None:
+                mids = np.where(message, mids, ABSENT)
+                origins = np.where(message, origins, ABSENT)
+            self._log.add_receives(
+                hit_trial,
+                slots[hit_trial],
+                hit_listener,
+                hit_sender,
+                mids,
+                origins,
+            )
+        if approg_rows and hit_cells.size:
+            if len(approg_rows) < self.trials:
+                stepped = np.zeros(self.trials, dtype=bool)
+                stepped[approg_rows] = True
+                mine = stepped[hit_trial]
+                self._approg.receive(hit_cells[mine], sender_cells[mine])
+            else:
+                self._approg.receive(hit_cells, sender_cells)
+        if message is not None:
+            hit_cells = hit_cells[message]
+            sender_cells = sender_cells[message]
+        if hit_cells.size:
+            fresh = self._first_deliveries(hit_cells, sender_cells)
+            senders = sender_cells[fresh]
+            self._rcv_phase(hit_cells[fresh], senders, self._tx_mid[senders])
+            if feedback_ok is not None:
+                feedback = hit_cells[feedback_ok[hit_cells]]
+                if feedback.size:
+                    self.kernel.notify(feedback)
+
+    def _first_deliveries(
+        self, cells: np.ndarray, sender_cells: np.ndarray
+    ) -> np.ndarray:
+        """Which decodes deliver the sender's message to the listener
+        for the first time (and mark them delivered)."""
+        n = self._n
+        if self._seen is not None:
+            # Columnar dedup: one boolean gather finds the first
+            # deliveries; duplicate decodes cost no Python (see the
+            # _seen comment in __init__).
+            senders = sender_cells % n
+            fresh = ~self._seen[cells, senders]
+            self._seen[cells[fresh], senders[fresh]] = True
+            return fresh
+        fresh = np.zeros(cells.size, dtype=bool)
+        for i, (cell, mid) in enumerate(
+            zip(cells.tolist(), self._tx_mid[sender_cells].tolist())
+        ):
+            delivered = self._delivered[cell // n]
+            if (cell, mid) not in delivered:
+                delivered.add((cell, mid))
+                fresh[i] = True
+        return fresh
 
     # -- slot phases shared with the native replay -------------------------
     #
@@ -638,7 +795,7 @@ class VectorRuntime:
 
     def _ack_phase(
         self, cells: np.ndarray, rows: np.ndarray | None = None
-    ) -> list[tuple[int, int, BcastMessage]]:
+    ) -> list[tuple[int, BcastMessage]]:
         """Acknowledge the ascending ``cells`` whose broadcasts ended.
 
         Acks fire in the slot the budget runs out, with the final
@@ -649,7 +806,7 @@ class VectorRuntime:
         (queue pumps, next waves) run now, in ascending cell order like
         the object runtime's phase-1 node loop; any rebroadcast they
         request stages its message swap until after delivery.  Returns
-        the acked ``(trial, node, message)`` triples.
+        the acked ``(cell, message)`` pairs.
 
         ``rows`` (here and in the other phases) are the cells' event
         rows (:data:`~repro.simulation.trace.ROW`) when the caller
@@ -662,14 +819,10 @@ class VectorRuntime:
         self._busy[cells] = False
         trials = cells // n
         nodes = cells - trials * n
-        acked = [
-            (t, node, self._current[t][node])
-            for t, node in zip(trials.tolist(), nodes.tolist())
-        ]
+        acked = list(zip(cells.tolist(), self._current[cells].tolist()))
         if rows is None:
-            mids = [message.mid for *_, message in acked]
-            rows = self._event_rows(trials, ACK, nodes, mids)
-        append_trial_rows(self.traces, rows)
+            rows = self._event_rows(trials, ACK, nodes, self._tx_mid[cells])
+        self._log.add_rows(rows)
         if self.adapter is not None:
             self._in_phase1 = True
             try:
@@ -694,7 +847,7 @@ class VectorRuntime:
             rows = self._event_rows(trials, WAKE, woken - trials * self._n)
         else:
             rows = rows[asleep]
-        append_trial_rows(self.traces, rows)
+        self._log.add_rows(rows)
         if self.adapter is not None:
             self.adapter.on_wake(woken)
 
@@ -712,7 +865,7 @@ class VectorRuntime:
         if rows is None:
             trials = cells // self._n
             rows = self._event_rows(trials, RCV, cells - trials * self._n, mids)
-        append_trial_rows(self.traces, rows)
+        self._log.add_rows(rows)
         if self.adapter is not None:
             self.adapter.on_rcv(cells, sender_cells)
 
@@ -724,7 +877,7 @@ class VectorRuntime:
         return event_rows(trials, slots, code, nodes, mids)
 
     def _end_slot(
-        self, rows: Sequence[int], acked: list[tuple[int, int, BcastMessage]]
+        self, rows: Sequence[int], acked: list[tuple[int, BcastMessage]]
     ) -> None:
         """Close the slot of ``rows``.
 
@@ -735,9 +888,9 @@ class VectorRuntime:
         reception during this very slot may already have started the
         cell's next broadcast (direct write).
         """
-        for t, node, message in acked:
-            if self._current[t][node] is message:
-                self._current[t][node] = None
+        for cell, message in acked:
+            if self._current[cell] is message:
+                self._current[cell] = None
         if self._staged_current:
             for t, node, message in self._staged_current:
                 self._attach_message(t, node, message)
@@ -746,67 +899,6 @@ class VectorRuntime:
             self.adapter.flush()
         for t in rows:
             self.slots[t] += 1
-
-    def _deliver_filtered(
-        self,
-        rows,
-        tx_ids,
-        hit_trial,
-        hit_listener,
-        hit_sender,
-        rx_bounds,
-        feedback_ok,
-    ) -> None:
-        """Delivery through ``Channel.finalize_slot`` for batches with
-        failure injection: the adversary filters the same receptions
-        dict in the same order as the object runtime (consuming its RNG
-        stream identically), and wakeup / rcv / rc feedback see only the
-        surviving receptions."""
-        n = self._n
-        adapter = self.adapter
-        feedback_cells: list[int] = []
-        for t in rows:
-            lo, hi = rx_bounds[t], rx_bounds[t + 1]
-            raw = dict(
-                zip(hit_listener[lo:hi].tolist(), hit_sender[lo:hi].tolist())
-            )
-            current = self._current[t]
-            sent = {
-                node: current[node] for node in tx_ids[t].tolist()
-            }
-            outcome = self.channels[t].finalize_slot(sent, tx_ids[t], raw)
-            slot = self.slots[t]
-            trace = self.traces[t]
-            delivered = self._delivered[t]
-            base = t * n
-            # Conditional wakeups first (surviving receptions, delivery
-            # order), then the rcv processing — per-kind streams match
-            # the object runtime's per-listener interleave.
-            self._wake_phase(
-                np.fromiter(outcome.receptions, dtype=np.intp) + base
-            )
-            rcv_cells: list[int] = []
-            rcv_senders: list[int] = []
-            for listener, (sender, payload) in outcome.receptions.items():
-                cell = base + listener
-                if self.record_physical:
-                    trace.record(slot, "receive", listener, (sender, payload))
-                key = (listener, payload.mid)
-                if payload.origin != listener and key not in delivered:
-                    delivered.add(key)
-                    trace.record(slot, "rcv", listener, payload.mid)
-                    if adapter is not None:
-                        rcv_cells.append(cell)
-                        rcv_senders.append(base + sender)
-                if feedback_ok is not None and feedback_ok[cell]:
-                    feedback_cells.append(cell)
-            if adapter is not None and rcv_cells:
-                adapter.on_rcv(
-                    np.asarray(rcv_cells, dtype=np.intp),
-                    np.asarray(rcv_senders, dtype=np.intp),
-                )
-        if feedback_cells:
-            self.kernel.notify(np.asarray(feedback_cells, dtype=np.intp))
 
     # -- backend dispatch --------------------------------------------------
 
@@ -820,7 +912,8 @@ class VectorRuntime:
         :mod:`repro.native.stepper`): everything else — physical
         tracing, adversaries, approximate-sparse / stochastic / dynamic
         physics (churn masks exist only under a dynamic topology),
-        kernels without native columns — takes the numpy step.
+        kernels without native columns (Algorithms 9.1 and 11.1) —
+        takes the numpy step.
         """
         return (
             self._use_native
@@ -841,6 +934,10 @@ class VectorRuntime:
                     "protocol appears not to terminate"
                 )
 
+    # Staged rows beyond this many are flushed between slots, so a long
+    # stride holds them once, in the traces.
+    STAGED_ROWS = 1 << 16
+
     def advance_slots(
         self, k: int, rows: Sequence[int] | None = None
     ) -> None:
@@ -857,15 +954,24 @@ class VectorRuntime:
         rows = list(range(self.trials)) if rows is None else list(rows)
         if not rows:
             return
-        if self._stepper is None:
-            for _ in range(k):
-                self.advance(rows)
-            return
-        budget = min(self.max_slots[t] - self.slots[t] for t in rows)
-        if budget > 0:
-            self.native_slots += self._stepper.advance(min(k, budget), rows)
-        if k > budget:
-            self._check_budget(rows)
+        self._holding = True
+        try:
+            if self._stepper is None:
+                for _ in range(k):
+                    self.advance(rows)
+                    if len(self._log) > self.STAGED_ROWS:
+                        self._log.flush()
+                return
+            budget = min(self.max_slots[t] - self.slots[t] for t in rows)
+            if budget > 0:
+                self.native_slots += self._stepper.advance(
+                    min(k, budget), rows
+                )
+            if k > budget:
+                self._check_budget(rows)
+        finally:
+            self._holding = False
+            self._log.flush()
 
     # -- single-batch drivers (Runtime-compatible) -------------------------
 

@@ -41,6 +41,15 @@ class TestAckConfig:
         with pytest.raises(ValueError):
             AckConfig(contention_bound=4, prob_cap=0.9)
 
+    @pytest.mark.parametrize("name", ["fallback_divisor", "floor_divisor"])
+    @pytest.mark.parametrize("value", [0.0, -32.0])
+    def test_divisors_must_be_positive(self, name, value):
+        """A zero fallback divisor used to crash the object path with
+        ZeroDivisionError while the columnar kernel ran on at p =
+        prob_cap; both now refuse the config up front."""
+        with pytest.raises(ValueError, match=name):
+            AckConfig(contention_bound=4, **{name: value})
+
     def test_expected_slot_bound_monotone_in_contention(self, config):
         assert config.expected_slot_bound(4.0) < config.expected_slot_bound(
             16.0

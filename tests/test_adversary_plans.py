@@ -14,8 +14,12 @@ path (never silently dropping the injection).
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import replace
 
 import pytest
+
+from repro.core.ack_protocol import AckConfig
+from repro.core.approx_progress import ApproxProgressConfig
 
 from repro.experiments import (
     AdversarySpec,
@@ -32,6 +36,12 @@ from repro.vectorized import vector_eligible
 
 N = 12
 DEPLOYMENT = DeploymentSpec.of("uniform_disk", n=N, radius=9.0, seed=33)
+# Algorithm 11.1 at test size (see test_vectorized_equivalence).
+FAST_ACK = AckConfig(contention_bound=8.0, eps_ack=0.3, gamma_prime=1.0)
+SMALL_APPROG = ApproxProgressConfig(
+    lambda_bound=2.0, eps_approg=0.2, alpha=3.0, t_scale=0.1
+)
+PAPER_MAC = dict(ack_config=FAST_ACK, approg_config=SMALL_APPROG)
 
 JAMMING = AdversarySpec(kind="jamming", drop_probability=0.15, seed=11)
 GRAY = AdversarySpec(kind="gray_zone", gray_drop=0.5, seed=11)
@@ -83,12 +93,14 @@ class TestSpecValidation:
 
 
 @pytest.mark.parametrize("kind", ["jamming", "gray_zone"])
-@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("stack", ["decay", "ack", "combined"])
 def test_adversary_plans_ride_fast_path_dataclass_equal(kind, stack):
     """The pin: adversary plans are columnar-eligible, and demanding the
     fast path (vectorize=True — no silent fallback possible) produces
     dataclass-equal results on both executors."""
-    plans = make_plans(4, SPECS[kind], stack=stack)
+    plans = make_plans(
+        4, SPECS[kind], stack=stack, **(PAPER_MAC if stack == "combined" else {})
+    )
     assert all(vector_eligible(plan) for plan in plans)
     sequential = [run_trial(plan) for plan in plans]
     assert sequential == run_trials(plans, ExecutionPolicy(vectorize=True))
@@ -125,11 +137,18 @@ def test_erasures_actually_happen():
 
 
 def test_ineligible_stack_falls_back_deterministically():
-    """A columnar-ineligible stack with an adversary spec runs the
+    """A columnar-ineligible plan with an adversary spec runs the
     object path under auto-selection — same results as run_trial, and
-    vectorize=True refuses loudly rather than dropping the
-    injection."""
-    plans = make_plans(2, JAMMING, stack="combined")
+    vectorize=True refuses loudly rather than dropping the injection.
+    The plan: Algorithm 11.1 with a label space above 2³², whose labels
+    numpy draws on its 64-bit path."""
+    plans = make_plans(
+        2,
+        JAMMING,
+        stack="combined",
+        ack_config=FAST_ACK,
+        approg_config=replace(SMALL_APPROG, label_space=2**32 + 1),
+    )
     assert not any(vector_eligible(plan) for plan in plans)
     sequential = [run_trial(plan) for plan in plans]
     assert sequential == run_trials(plans)  # auto-select: object path

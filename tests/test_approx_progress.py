@@ -39,6 +39,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ApproxProgressConfig(lambda_bound=4, gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "name", ["phi_scale", "t_scale", "q_scale", "bcast_scale"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_scales_must_be_positive(self, name, value):
+        """Non-positive scales used to be clamped silently (t_scale=0
+        ran with T=8, phi_scale=0 with one phase)."""
+        with pytest.raises(ValueError, match=name):
+            ApproxProgressConfig(lambda_bound=4, **{name: value})
+
+    def test_tiny_positive_scale_stays_valid(self):
+        """bench_ablation_q_thinning drives Q to 1 with q_scale=1e-9."""
+        assert ApproxProgressConfig(lambda_bound=4, q_scale=1e-9).q_factor == 1
+
     def test_phi_scales_with_lambda(self):
         small = ApproxProgressConfig(lambda_bound=4.0)
         large = ApproxProgressConfig(lambda_bound=256.0)

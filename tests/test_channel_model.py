@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.ack_protocol import AckConfig
+from repro.core.approx_progress import ApproxProgressConfig
 from repro.experiments import (
     DeploymentSpec,
     ExecutionPolicy,
@@ -286,7 +288,18 @@ class TestChannelBinding:
 # -- executors: the acceptance matrix ---------------------------------------
 
 
+# Algorithm 11.1 at test size (see test_vectorized_equivalence).
+PAPER_MAC = dict(
+    ack_config=AckConfig(contention_bound=8.0, eps_ack=0.3, gamma_prime=1.0),
+    approg_config=ApproxProgressConfig(
+        lambda_bound=2.0, eps_approg=0.2, alpha=3.0, t_scale=0.1
+    ),
+)
+
+
 def fading_plans(stack, trials, model=FULL_MODEL, **kwargs):
+    if stack == "combined":
+        kwargs = {**PAPER_MAC, **kwargs}
     base = TrialPlan(
         deployment=DEPLOYMENT,
         stack=stack,
@@ -299,7 +312,7 @@ def fading_plans(stack, trials, model=FULL_MODEL, **kwargs):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("stack", ["decay", "ack", "combined"])
 @pytest.mark.parametrize("trials", [1, 8])
 def test_fading_vectorized_equals_object(stack, trials):
     """The ISSUE acceptance matrix: with the full stochastic model on,

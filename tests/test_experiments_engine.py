@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.harness import (
     build_ack_stack,
     run_local_broadcast_experiment,
 )
+from repro.core.ack_protocol import AckConfig
 from repro.core.approx_progress import ApproxProgressConfig
 from repro.experiments import (
     GLOBAL_CACHE,
@@ -129,7 +132,11 @@ class TestDispatch:
     every other plan, results and callbacks once per plan index."""
 
     def interleaved_plans(self) -> list[TrialPlan]:
-        combined = dict(stack="combined", approg_config=APPROG_CFG)
+        # Labels above 2**32 keep Algorithm 11.1 off the columnar path.
+        combined = dict(
+            stack="combined",
+            approg_config=replace(APPROG_CFG, label_space=2**32 + 1),
+        )
         return [
             TrialPlan(deployment=SMALL_DISK, seed=1, **combined),
             TrialPlan(deployment=DISK, stack="decay", seed=2),
@@ -163,7 +170,7 @@ class TestDispatch:
             ExecutionPolicy(),
             on_result=lambda index, result: calls.append(index),
         )
-        # Combined plans run alone on the object path, in plan order;
+        # Ineligible plans run alone on the object path, in plan order;
         # columnar plans batch by (node count, stack).
         assert object_runs == [0, 3]
         assert sorted(vector_groups) == [[1, 6], [2], [4], [5]]
@@ -224,6 +231,27 @@ class TestCacheIsolation:
         assert stats["artifact_entries"] == 1
         assert stats[self.FILLED[kind]] >= 1
         assert GLOBAL_CACHE.stats() == before
+
+
+def test_default_approg_config_eligibility_uses_the_runs_cache():
+    """A default Algorithm 9.1 config takes its label space from the
+    deployment's Λ; deciding eligibility looks Λ up in the run's own
+    cache, never in the process-wide one."""
+    plan = TrialPlan(
+        deployment=SMALL_DISK,
+        stack="combined",
+        ack_config=AckConfig(contention_bound=8.0, eps_ack=0.3, gamma_prime=1.0),
+    )
+    GLOBAL_CACHE.clear()
+    before = GLOBAL_CACHE.stats()
+    policy = ExecutionPolicy(vectorize=True, share_cache=False)
+    assert run_trials([plan], policy) == run_trials([plan], OBJECT_PATH)
+    mine = ArtifactCache()
+    run_trials([plan], ExecutionPolicy(vectorize=True), cache=mine)
+    assert mine.stats()["artifact_entries"] == 1
+    # Only the object-path reference run above filled the global cache.
+    after = GLOBAL_CACHE.stats()
+    assert after["artifact_entries"] == before["artifact_entries"] + 1
 
 
 class TestLegacyWrapperFidelity:

@@ -6,7 +6,13 @@ subtly reordered reduction, a changed RNG consumption pattern and every
 executor moves together — still "equivalent", silently different).
 This suite freezes the complete :class:`~repro.experiments.plans.
 TrialResult` dataclasses of one small {decay, ack} × {smb, consensus}
-sweep as committed fixtures under ``tests/golden/``.
+sweep, and of the paper's own MAC — Algorithm 11.1 (``combined``)
+running local broadcast from every node and from a staggered subset,
+and Algorithm 9.1 (``approg``) over two epochs of a fixed slot budget,
+both with physical tracing — as committed fixtures under
+``tests/golden/``.  The fixtures are written by the object path
+(``vectorize=False``), so every executor is checked against an
+absolute reference rather than only against a peer.
 
 Any intentional physics/protocol change will fail these tests — that is
 the point.  After reviewing the diff, regenerate with::
@@ -30,8 +36,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.approx_progress import ApproxProgressConfig, EpochSchedule
 from repro.experiments import (
     DeploymentSpec,
+    ExecutionPolicy,
     TrialPlan,
     run_trials,
     seeded_plans,
@@ -61,10 +69,54 @@ def _consensus_deployment() -> DeploymentSpec:
     return DeploymentSpec.of("uniform_disk", n=30, radius=14.0, seed=9)
 
 
+def _paper_mac_deployment() -> DeploymentSpec:
+    return DeploymentSpec.of(
+        "uniform_disk", n=12, radius=9.0, min_separation=3.0, seed=21
+    )
+
+
+# Two phases of short blocks per epoch (560 slots), so a few thousand
+# slots cross est1, est2, every MIS round, the bcast block and an epoch
+# boundary.
+PAPER_MAC_CONFIG = ApproxProgressConfig(
+    lambda_bound=4.0,
+    eps_approg=0.2,
+    alpha=3.0,
+    t_scale=0.1,
+    bcast_scale=1.0,
+    mis_round_budget=3,
+)
+
+
 def golden_plans(params: SINRParameters | None = None) -> dict[str, list]:
-    """The pinned sweep: {decay, ack} × {smb, consensus}, 2 seeds."""
+    """The pinned sweep: {decay, ack} × {smb, consensus} at 2 seeds,
+    plus Algorithms 11.1 and 9.1 (the paper's MAC) at one seed."""
     params = params or SINRParameters()
     sweep: dict[str, list] = {}
+    mac_plans = {
+        "combined_local_broadcast": dict(stack="combined"),
+        "combined_local_broadcast_staggered": dict(
+            stack="combined", broadcasters=(0, 4, 7)
+        ),
+        "approg_fixed_slots": dict(
+            stack="approg",
+            workload="fixed_slots",
+            options=TrialPlan.pack_options(
+                slots=2 * EpochSchedule(PAPER_MAC_CONFIG).epoch_slots
+            ),
+        ),
+    }
+    for name, fields in mac_plans.items():
+        base = TrialPlan(
+            deployment=_paper_mac_deployment(),
+            params=params,
+            approg_config=PAPER_MAC_CONFIG,
+            max_slots=MAX_SLOTS,
+            record_physical=True,
+            label=f"golden-{name}",
+            **fields,
+        )
+        sweep[name] = seeded_plans(base, spawn_trial_seeds(1, seed=13))
     for stack in ("decay", "ack"):
         for workload in ("smb", "consensus"):
             if workload == "smb":
@@ -138,7 +190,10 @@ def test_fixtures_have_no_strays():
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, plans in sorted(golden_plans().items()):
-        payload = serialize(run_trials(plans))
+        # The object path is the reference every executor must match.
+        payload = serialize(
+            run_trials(plans, ExecutionPolicy(vectorize=False))
+        )
         path = _fixture_path(name)
         path.write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"

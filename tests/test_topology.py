@@ -28,6 +28,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.ack_protocol import AckConfig
+from repro.core.approx_progress import ApproxProgressConfig
 from repro.experiments import (
     ArtifactCache,
     DeploymentSpec,
@@ -66,7 +68,18 @@ CHURN = ChurnSchedule(
 COMPOSITE = CompositeTopology(parts=(MOBILITY, CHURN))
 
 
+# Algorithm 11.1 at test size (see test_vectorized_equivalence).
+PAPER_MAC = dict(
+    ack_config=AckConfig(contention_bound=8.0, eps_ack=0.3, gamma_prime=1.0),
+    approg_config=ApproxProgressConfig(
+        lambda_bound=2.0, eps_approg=0.2, alpha=3.0, t_scale=0.1
+    ),
+)
+
+
 def make_plans(stack, trials, topology, **kwargs):
+    if stack == "combined":
+        kwargs = {**PAPER_MAC, **kwargs}
     base = TrialPlan(
         deployment=DEPLOYMENT,
         stack=stack,
@@ -320,7 +333,7 @@ class TestChannelTopology:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("stack", ["decay", "ack", "combined"])
 @pytest.mark.parametrize("trials", [1, 8])
 @pytest.mark.parametrize(
     "topology", [MOBILITY, CHURN], ids=["mobility", "churn"]

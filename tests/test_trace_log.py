@@ -14,7 +14,7 @@ from dataclasses import replace
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import native
 from repro.native.build import SOURCE
@@ -29,6 +29,7 @@ from repro.simulation.trace import (
     RCV,
     WAKE,
     EventTrace,
+    TraceBatch,
     TraceEvent,
     event_rows,
 )
@@ -139,6 +140,108 @@ def test_log_reads_like_the_list_it_replaced(events, data):
     assert trace.events == reference.events
 
 
+@st.composite
+def physical_slots(draw):
+    """Slots of a 2-trial batch: each trial's transmitters with their
+    payloads, receptions from those transmitters, and MAC events."""
+    payloads = st.one_of(
+        st.builds(BcastMessage, st.integers(0, 9), NODES),
+        st.tuples(st.just("est1"), st.integers(0, 3), st.integers(1, 9)),
+        st.none(),
+    )
+    slots = []
+    for slot in range(draw(st.integers(0, 6))):
+        per_trial = []
+        for _trial in range(2):
+            senders = draw(st.lists(NODES, unique=True, max_size=3))
+            sent = {node: draw(payloads) for node in sorted(senders)}
+            listeners = draw(
+                st.lists(
+                    NODES.filter(lambda v: v not in sent),
+                    unique=True,
+                    max_size=3,
+                )
+            )
+            heard = [
+                (listener, draw(st.sampled_from(sorted(sent))))
+                for listener in listeners
+                if sent
+            ]
+            rcvs = [
+                (v, draw(st.integers(0, 99)))
+                for v in draw(st.lists(NODES, max_size=2))
+            ]
+            per_trial.append((sent, heard, rcvs))
+        slots.append((slot, per_trial, draw(st.booleans())))
+    return slots
+
+
+def _message_fields(payload):
+    if isinstance(payload, BcastMessage):
+        return payload.mid, payload.origin
+    return ABSENT, ABSENT
+
+
+@settings(max_examples=40)
+@given(physical_slots())
+def test_bulk_physical_rows_read_like_recorded_events(slots):
+    """TraceBatch's transmit and receive rows, staged for a batch and
+    flushed now and then, give each trace the columns record() gives
+    for the same events, and a view that rebuilds every receive's
+    ``(sender, payload)`` from the sender's transmit row."""
+    traces = [EventTrace(), EventTrace()]
+    references = [EventTrace(), EventTrace()]
+    lists = [ListTrace(), ListTrace()]
+    batch = TraceBatch(traces)
+    for slot, per_trial, flush in slots:
+        for trial, (sent, heard, rcvs) in enumerate(per_trial):
+            if not sent:
+                continue
+            nodes = np.array(sorted(sent))
+            batch.add_transmits(
+                np.full(nodes.size, trial), slot, nodes, list(sent.values())
+            )
+            for node, payload in sent.items():
+                references[trial].record(slot, "transmit", node, payload)
+                lists[trial].record(slot, "transmit", node, payload)
+        for trial, (sent, heard, rcvs) in enumerate(per_trial):
+            if heard:
+                listeners, senders = map(np.array, zip(*heard))
+                fields = [_message_fields(sent[s]) for _, s in heard]
+                mids, origins = map(np.array, zip(*fields))
+                batch.add_receives(
+                    np.full(listeners.size, trial),
+                    slot,
+                    listeners,
+                    senders,
+                    mids,
+                    origins,
+                )
+            for listener, sender in heard:
+                datum = (sender, sent[sender])
+                references[trial].record(slot, "receive", listener, datum)
+                lists[trial].record(slot, "receive", listener, datum)
+            if rcvs:
+                nodes, mids = map(np.array, zip(*rcvs))
+                batch.add_rows(event_rows(trial, slot, RCV, nodes, mids))
+            for node, mid in rcvs:
+                references[trial].record(slot, "rcv", node, mid)
+                lists[trial].record(slot, "rcv", node, mid)
+        if flush:
+            batch.flush()
+    batch.flush()
+    for trace, reference, listed in zip(traces, references, lists):
+        assert np.array_equal(trace.columns(), reference.columns())
+        events = list(trace)
+        assert events == listed.events
+        for got, want in zip(events, listed.events):
+            if want.kind == "transmit" and want.data is not None:
+                assert got.data is want.data  # one shared reference
+            if want.kind == "receive" and want.data[1] is not None:
+                assert got.data[1] is want.data[1]
+        assert trace.of_kind("receive") == listed.of_kind("receive")
+
+
 def test_reads_between_appends_keep_append_order():
     trace = EventTrace()
     trace.record(0, "bcast", 1, 5)
@@ -166,6 +269,21 @@ def test_receive_payload_fields_reach_the_columns():
     assert columns.mid.tolist() == [9, ABSENT, 7]
     assert columns.sender.tolist() == [1, 1, ABSENT]
     assert columns.origin.tolist() == [3, ABSENT, ABSENT]
+
+
+def test_slots_and_nodes_must_fit_the_compact_columns():
+    """Slots, kind codes and node ids are stored as int32; a value
+    beyond that range is refused, never wrapped."""
+    trace = EventTrace()
+    trace.record(2**31, "wake", 0)
+    with pytest.raises(OverflowError):
+        trace.columns()
+    with pytest.raises(OverflowError):
+        EventTrace().append_rows(event_rows(0, 0, WAKE, [2**31]))
+    trace = EventTrace()
+    trace.record(2**31 - 1, "rcv", 2**31 - 1, 5)
+    assert trace.columns().slot.tolist() == [2**31 - 1]
+    assert trace.columns().slot.dtype == np.int64
 
 
 def test_kind_codes_are_the_kernel_event_codes():

@@ -25,6 +25,7 @@ import pytest
 
 from repro.analysis.harness import build_ack_stack, build_decay_stack
 from repro.core.ack_protocol import AckConfig
+from repro.core.approx_progress import ApproxProgressConfig
 from repro.core.decay import DecayConfig
 from repro.experiments import (
     DeploymentSpec,
@@ -66,6 +67,15 @@ EVENT_KINDS = (
 )
 
 
+# Algorithm 11.1 at test size (see test_vectorized_equivalence).
+PAPER_MAC = dict(
+    ack_config=AckConfig(contention_bound=8.0, eps_ack=0.3, gamma_prime=1.0),
+    approg_config=ApproxProgressConfig(
+        lambda_bound=2.0, eps_approg=0.2, alpha=3.0, t_scale=0.1
+    ),
+)
+
+
 def protocol_plan(workload, stack, **kwargs):
     if workload == "smb":
         options = TrialPlan.pack_options(
@@ -77,6 +87,8 @@ def protocol_plan(workload, stack, **kwargs):
         options = TrialPlan.pack_options(
             waves=WAVES, values=kwargs.pop("values", None)
         )
+    if stack == "combined":
+        kwargs = {**PAPER_MAC, **kwargs}
     return TrialPlan(
         deployment=DEPLOYMENT,
         stack=stack,
@@ -91,7 +103,7 @@ def protocol_plan(workload, stack, **kwargs):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("stack", ["decay", "ack", "combined"])
 @pytest.mark.parametrize("trials", [1, 8])
 @pytest.mark.parametrize("source", [0, 7], ids=["sync", "staggered"])
 def test_smb_results_bit_identical(stack, trials, source):
@@ -110,7 +122,7 @@ def test_smb_results_bit_identical(stack, trials, source):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("stack", ["decay", "ack", "combined"])
 @pytest.mark.parametrize("trials", [1, 8])
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("spread", [False, True], ids=["sync", "staggered"])
@@ -137,7 +149,7 @@ def test_mmb_results_bit_identical(stack, trials, k, spread):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stack", ["decay", "ack"])
+@pytest.mark.parametrize("stack", ["decay", "ack", "combined"])
 @pytest.mark.parametrize("trials", [1, 8])
 @pytest.mark.parametrize("explicit_values", [False, True])
 def test_consensus_results_bit_identical(stack, trials, explicit_values):
@@ -180,21 +192,19 @@ def test_mixed_protocol_sweep_one_call():
     )
 
 
-def test_combined_stack_protocols_stay_on_object_path():
-    """The Table-1 headline stack (Algorithm 11.1) has no columnar
-    kernel: protocol plans over it are ineligible and auto-selection
-    must route them to the object executor unchanged."""
-    plan = protocol_plan("smb", "decay")
-    combined = TrialPlan(
-        deployment=DEPLOYMENT,
-        stack="combined",
-        workload="smb",
-        options=TrialPlan.pack_options(source=0),
+def test_combined_stack_protocols_ride_fast_path():
+    """The Table-1 headline stack (Algorithm 11.1) has a columnar kernel:
+    protocol plans over it are eligible and auto-selection runs them
+    columnar, dataclass-equal to the object executor."""
+    plans = [
+        protocol_plan("smb", "combined", source=7, seed=3),
+        protocol_plan("mmb", "combined", arrivals=((0, ("a", "b")),), seed=4),
+        protocol_plan("consensus", "combined", seed=5),
+    ]
+    assert all(vector_eligible(plan) for plan in plans)
+    assert run_trials(plans, ExecutionPolicy(vectorize=True)) == run_trials(
+        plans, ExecutionPolicy(vectorize=False)
     )
-    assert vector_eligible(plan)
-    assert not vector_eligible(combined)
-    with pytest.raises(ValueError, match="not columnar-eligible"):
-        run_trials([combined], ExecutionPolicy(vectorize=True))
 
 
 # -- trace-level equivalence ------------------------------------------------
